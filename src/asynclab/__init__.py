@@ -24,4 +24,4 @@ from .sampling import (ChannelSchedule, ErrorModel, ScheduleError,
 from .sim import (Scenario, ScenarioError, ScheduleParams, Trace, metrics,
                   run, run_event_triggered)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

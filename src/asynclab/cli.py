@@ -35,6 +35,9 @@ EXIT_INFEASIBLE = 3
 EXIT_RUNTIME = 4
 EXIT_GOLDEN = 5
 
+# Failures of a simulation run, reported with EXIT_RUNTIME.
+RUN_ERRORS = (ScheduleError, ScenarioError, RuntimeError, OverflowError)
+
 
 def thread_cap() -> int:
     """Parallelism cap for scenario sweeps, from ASYNC_LAB_THREADS."""
@@ -320,7 +323,7 @@ def cmd_run(args):
             report = {"runs": reports}
         else:
             report = _run_one(doc, s, outdir)
-    except (ScheduleError, ScenarioError, RuntimeError, OverflowError) as exc:
+    except RUN_ERRORS as exc:
         _emit({"error": str(exc)})
         return EXIT_RUNTIME
     report_path = os.path.join(outdir, "report.json")
@@ -395,7 +398,11 @@ def cmd_reproduce(args):
         print(f"  {'PASS' if ok else 'FAIL'}  {name}: computed {got} "
               f"(expected {expected} +- {tol})")
     s = scenarios.parse_scenario(doc)
-    trace = run(s)
+    try:
+        trace = run(s)
+    except RUN_ERRORS as exc:
+        _emit({"example": number, "goldens": rows, "error": str(exc)})
+        return EXIT_RUNTIME
     m = metrics(trace)
     report = {"example": number, "goldens": rows,
               "consensus": m["consensus"],

@@ -56,10 +56,18 @@ def generate_schedule(h_min: float, h_max: float, tau_max: float,
     if horizon <= 0:
         raise ScheduleError("horizon must be positive")
     rng = channel_rng(seed, channel_id)
-    instants = [float(rng.uniform(0.0, h_min))]
-    while instants[-1] < horizon:
-        instants.append(instants[-1] + float(rng.uniform(h_min, h_max)))
-    instants = np.array(instants)
+    parts = [np.array([rng.uniform(0.0, h_min)])]
+    while parts[-1][-1] < horizon:
+        # gaps in blocks of about the count still needed; the running sum
+        # continues from the last instant, as one-at-a-time addition would
+        size = int((horizon - parts[-1][-1]) / (0.5 * (h_min + h_max))) + 16
+        gaps = rng.uniform(h_min, h_max, size=size)
+        parts.append(np.cumsum(np.concatenate([parts[-1][-1:], gaps]))[1:])
+    instants = np.concatenate(parts)
+    instants = instants[: np.searchsorted(instants, horizon) + 1]
+    # replay the stream so the delays follow exactly the draws kept above
+    rng = channel_rng(seed, channel_id)
+    rng.uniform(size=len(instants))
     gaps = np.diff(instants, append=instants[-1] + h_min)
     caps = np.minimum(tau_max, gaps * (1.0 - DELAY_GUARD))
     delays = rng.uniform(0.0, 1.0, size=len(instants)) * caps
@@ -197,14 +205,13 @@ def log_quantize(value, quant_level: float) -> np.ndarray:
     if quant_level <= 1.0:
         raise ValueError("quantizing level must exceed 1")
     value = np.asarray(value, dtype=float)
-    out = np.zeros_like(value)
     nz = value != 0.0
-    if np.any(nz):
-        logs = np.log(np.abs(value[nz])) / np.log(quant_level)
-        snapped = np.round(logs)
-        exps = np.where(np.abs(logs - snapped) < 1e-9, snapped, np.floor(logs))
-        out[nz] = np.sign(value[nz]) * quant_level**exps
-    return out
+    # whole-array ufuncs, no masked indexing: the engine quantizes one small
+    # vector per sample, where the per-call overhead dominates
+    logs = np.log(np.abs(np.where(nz, value, 1.0))) / np.log(quant_level)
+    snapped = np.rint(logs)
+    exps = np.where(np.abs(logs - snapped) < 1e-9, snapped, np.floor(logs))
+    return np.where(nz, np.copysign(quant_level**exps, value), 0.0)
 
 
 def event_trigger_check(current, held, omega: float, cap: float | None = None,

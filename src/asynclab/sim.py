@@ -6,12 +6,17 @@ under a constant drive: x(t + dt) = e^{A dt} x(t) + Phi(dt) v with
 Phi(dt) = integral of e^{A s}. Sample events read the true state and apply
 the error model; deliver events update the zero-order holds of every
 controller using that channel simultaneously.
+
+Scheduled modes draw every sample instant and delay before the run, so
+their event timeline is sorted once and its flow maps are evaluated in
+vectorized chunks; only continuously monitored triggering queues events.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +39,9 @@ RANK_GRID = 4
 
 MAX_EVENTS = 10_000_000
 TRIGGER_REFINE_TOL = 1e-9
+# Timeline entries per batched flow-map evaluation: amortizes the numpy call
+# overhead while keeping the batch's memory small and flat in the run length.
+FLOW_CHUNK = 4096
 
 MODES = ("abstract_coupled", "relative_edges", "broadcast",
          "event_triggered", "saturated")
@@ -41,6 +49,10 @@ MODES = ("abstract_coupled", "relative_edges", "broadcast",
 
 class ScenarioError(ValueError):
     """Inconsistent scenario description."""
+
+
+class DivergenceError(RuntimeError):
+    """The simulated state stopped being finite."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,10 @@ class Scenario:
     lyapunov_P: np.ndarray | None = None
     startup: str = "zero"  # or "first_sample"
     snapshot_points: int = 1000
+    """Intervals of the evenly spaced grid on [0, horizon]. The trace has
+    one row at each distinct event time and at each of the
+    snapshot_points + 1 grid instants; a grid instant that coincides with
+    an event shares its row."""
     stop_at_consensus: bool = False
     consensus_tol: float | None = None
 
@@ -139,12 +155,17 @@ class Trace:
         return self.states[-1]
 
 
+def _chunks(n: int):
+    """Consecutive slices of at most FLOW_CHUNK covering range(n)."""
+    return (slice(i, i + FLOW_CHUNK) for i in range(0, n, FLOW_CHUNK))
+
+
 class Propagator:
     """Exact flow maps (e^{A dt}, Phi(dt)) for one system matrix.
 
     Uses the eigendecomposition of A when it is well conditioned (covers
-    normal and diagonal matrices, including A = 0, at a few microseconds per
-    step); falls back to the block-matrix exponential otherwise.
+    normal and diagonal matrices, including A = 0, vectorized over many
+    steps at once); falls back to the block-matrix exponential otherwise.
     """
 
     COND_LIMIT = 1e6
@@ -171,24 +192,30 @@ class Propagator:
 
     def pair(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """(e^{A dt}, integral of e^{A s} over [0, dt]); dt may be negative."""
+        expA, phi = self.pairs([dt])
+        return expA[0], phi[0]
+
+    def pairs(self, dts) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked flow maps of a 1-d sequence of steps: two (len, n, n)
+        arrays whose k-th matrices are the pair of dts[k]."""
+        dts = np.asarray(dts, dtype=float)[:, None]
         if self._diag:
-            wd = self.w * dt
+            wd = dts * self.w
             ew = np.exp(wd)
             small = np.abs(wd) < 1e-8
-            phiw = np.where(small, dt * (1.0 + wd / 2.0 + wd * wd / 6.0),
-                            np.divide(ew - 1.0, self.w,
-                                      out=np.full_like(ew, dt), where=~small))
-            expA = (self.V * ew) @ self.Vi
-            phi = (self.V * phiw) @ self.Vi
+            phiw = np.where(small, dts * (1.0 + wd / 2.0 + wd * wd / 6.0),
+                            (ew - 1.0) / np.where(small, 1.0, self.w))
+            expA = (self.V * ew[:, None, :]) @ self.Vi
+            phi = (self.V * phiw[:, None, :]) @ self.Vi
             return expA.real, phi.real
-        E = sla.expm(self._blk * dt)
-        return E[: self.n, : self.n], E[: self.n, self.n:]
+        E = sla.expm(self._blk * dts[:, :, None])
+        return E[:, : self.n, : self.n], E[:, : self.n, self.n:]
 
 
 class _Engine:
-    """Shared event-loop state for all simulation modes."""
+    """State, holds and trace rows shared by all simulation modes."""
 
-    def __init__(self, s: Scenario):
+    def __init__(self, s: Scenario, rows: int):
         self.s = s
         N = s.model.N
         self.N = N
@@ -198,34 +225,29 @@ class _Engine:
         self.prop = Propagator(s.model.A)
         self.consensus_mode = s.mode in ("relative_edges", "broadcast")
         self.kappa = self.X.mean(axis=0) if self.consensus_mode else None
+        self.algebra = build_algebra(s.graph) if self.consensus_mode else None
         if s.mode == "relative_edges":
-            self.algebra = build_algebra(s.graph)
             self.couple = self.algebra.incidence           # n x m
-            self.KT = (s.model.B @ s.gain).T
         elif s.mode == "broadcast":
-            self.algebra = build_algebra(s.graph)
             self.couple = self.algebra.graph_laplacian     # n x n
-            self.KT = (s.model.B @ s.gain).T
         else:
-            self.algebra = None
             self.couple = s.coupling                       # m x m
-            self.KT = s.gain.T
+        self.KT = (s.model.B @ s.gain).T if self.consensus_mode else s.gain.T
         self.H = np.zeros((self.channels, N))
         self.H_live = np.zeros(self.channels, dtype=bool)
         self.drive = np.zeros((self.units, N))
         self.t = 0.0
         self.last_drive_change = 0.0
-        self.heap = []
-        self.seq = 0
         self.events = []
         self.drive_changes = [(0.0, self.drive.copy())]
         self.held_changes = []
-        self.snap_t = []
-        self.snap_x = []
-        self.snap_dsq = []
-        self.snap_v = [] if (s.mode == "relative_edges" and s.lyapunov_P is not None) else None
+        # preallocated trace columns; rows[:n_rows] are filled
+        self.n_rows = 0
+        self.row_t = np.empty(rows)
+        self.row_x = np.empty((rows, self.units * N))
+        self.row_dsq = np.empty(rows)
+        self.row_tilde = np.empty(rows)
         self.track_tilde = s.mode == "broadcast"
-        self.snap_tilde = [] if self.track_tilde else None
         if self.track_tilde:
             self.delta_tilde = self.X - self.kappa
         self.err_rngs = [channel_rng(s.seed, ch, stream=1)
@@ -235,19 +257,14 @@ class _Engine:
                               else 1e-8 * (1.0 + float(np.sum(d0 * d0))))
         self.below_since = None
         self.consensus_time = None
-
-    # -- queue ------------------------------------------------------------
-    def push(self, time, rank, channel):
-        heapq.heappush(self.heap, (time, rank, channel, self.seq))
-        self.seq += 1
-        if self.seq > MAX_EVENTS:
-            raise RuntimeError("event budget exhausted (more than 1e7 events)")
+        self.snapshot()     # the row at t = 0; holds set at t = 0 do not move it
 
     # -- state ------------------------------------------------------------
-    def advance(self, t_new):
-        dt = t_new - self.t
-        if dt != 0.0:
-            expA, phi = self.prop.pair(dt)
+    def advance(self, t_new, expA=None, phi=None):
+        """Move the state to t_new under the held drive (flow maps optional)."""
+        if t_new != self.t:
+            if expA is None:
+                expA, phi = self.prop.pair(t_new - self.t)
             self.X = self.X @ expA.T + self.drive @ phi.T
             if self.kappa is not None:
                 self.kappa = expA @ self.kappa
@@ -286,15 +303,9 @@ class _Engine:
         self.drive_changes.append((self.t, self.drive.copy()))
 
     def _masked_laplacian(self):
-        n = self.units
-        L = np.zeros((n, n))
-        for i, j in self.s.graph.edges:
-            if self.H_live[i - 1] and self.H_live[j - 1]:
-                L[i - 1, i - 1] += 1.0
-                L[j - 1, j - 1] += 1.0
-                L[i - 1, j - 1] -= 1.0
-                L[j - 1, i - 1] -= 1.0
-        return L
+        inc = self.algebra.incidence
+        live = np.abs(inc).T @ ~self.H_live == 0     # no endpoint without a hold
+        return (inc * live) @ inc.T
 
     def set_hold(self, ch, value):
         self.H[ch] = value
@@ -308,46 +319,38 @@ class _Engine:
         if em.kind == "none" or em.kind == "event_trigger":
             return np.array(value, copy=True)
         if em.kind == "multiplicative":
-            measured, _ = apply_multiplicative_error(
-                value, em.omega, self.err_rngs[ch], adversarial=em.adversarial)
-            return measured
+            return apply_multiplicative_error(
+                value, em.omega, self.err_rngs[ch], adversarial=em.adversarial)[0]
         if em.kind == "additive":
-            measured, _ = apply_additive_error(
-                value, em.delta_e, self.err_rngs[ch], adversarial=em.adversarial)
-            return measured
+            return apply_additive_error(
+                value, em.delta_e, self.err_rngs[ch], adversarial=em.adversarial)[0]
         return log_quantize(value, em.quant_level)
 
-    # -- metrics ----------------------------------------------------------
+    # -- trace rows -------------------------------------------------------
     def _delta(self):
-        if self.consensus_mode:
-            return self.X - self.kappa
-        return self.X
+        return self.X - self.kappa if self.consensus_mode else self.X
 
     def snapshot(self):
-        if self.snap_t and self.snap_t[-1] == self.t:
-            # refresh in place so the post-event state wins at equal times
-            idx = -1
-            self.snap_x[idx] = self.X.ravel().copy()
-            d = self._delta()
-            self.snap_dsq[idx] = float(np.sum(d * d))
-            if self.snap_v is not None:
-                self.snap_v[idx] = self._lyapunov_value()
-            if self.track_tilde:
-                self.snap_tilde[idx] = float(np.sum(self.delta_tilde ** 2))
-        else:
-            self.snap_t.append(self.t)
-            self.snap_x.append(self.X.ravel().copy())
-            d = self._delta()
-            self.snap_dsq.append(float(np.sum(d * d)))
-            if self.snap_v is not None:
-                self.snap_v.append(self._lyapunov_value())
-            if self.track_tilde:
-                self.snap_tilde.append(float(np.sum(self.delta_tilde ** 2)))
-        self._consensus_watch(self.snap_dsq[-1])
-
-    def _lyapunov_value(self):
-        Z = self.couple.T @ self.X   # m x N rows of relative states
-        return 0.5 * float(np.sum(Z * (Z @ self.s.lyapunov_P.T)))
+        """Record the current state as a trace row. At the time of the last
+        row, refresh that row instead, so the post-event state wins."""
+        r = self.n_rows - 1
+        if r < 0 or self.row_t[r] != self.t:
+            r += 1
+            if r == len(self.row_t):
+                self.row_t, self.row_x, self.row_dsq, self.row_tilde = (
+                    np.concatenate([c, np.empty_like(c)]) for c in
+                    (self.row_t, self.row_x, self.row_dsq, self.row_tilde))
+            self.n_rows += 1
+            self.row_t[r] = self.t
+        d = self._delta()
+        dsq = float((d * d).sum())
+        if not math.isfinite(dsq):
+            raise DivergenceError(f"simulation diverged at t = {self.t!r}")
+        self.row_x[r] = self.X.ravel()
+        self.row_dsq[r] = dsq
+        if self.track_tilde:
+            self.row_tilde[r] = float((self.delta_tilde ** 2).sum())
+        self._consensus_watch(dsq)
 
     def _consensus_watch(self, dsq):
         if dsq < self.consensus_tol:
@@ -360,23 +363,25 @@ class _Engine:
             if self.consensus_time is not None and self.t > self.consensus_time:
                 self.consensus_time = None
 
+    def stopped(self) -> bool:
+        return self.s.stop_at_consensus and self.consensus_time is not None
+
     def finish(self) -> Trace:
-        if self.t < self.s.horizon and not (
-                self.s.stop_at_consensus and self.consensus_time is not None):
+        if self.t < self.s.horizon and not self.stopped():
             self.advance(self.s.horizon)
             self.snapshot()
-        return Trace(
-            scenario=self.s,
-            t=np.array(self.snap_t),
-            states=np.array(self.snap_x) if self.snap_x else np.zeros((0, self.units * self.N)),
-            delta_sq=np.array(self.snap_dsq),
-            lyapunov=np.array(self.snap_v) if self.snap_v is not None else None,
-            delta_tilde_sq=np.array(self.snap_tilde) if self.snap_tilde is not None else None,
-            events=self.events,
-            drive_changes=self.drive_changes,
-            held_changes=self.held_changes,
-            consensus_time=self.consensus_time,
-        )
+        n, P, V = self.n_rows, self.s.lyapunov_P, None
+        states = self.row_x[:n]
+        if self.s.mode == "relative_edges" and P is not None:
+            V = np.empty(n)     # 1/2 sum over edges of z^T P z, z the relative states
+            for sl in _chunks(n):
+                Z = self.couple.T @ states[sl].reshape(-1, self.units, self.N)
+                V[sl] = 0.5 * np.sum(Z * (Z @ P.T), axis=(1, 2))
+        return Trace(scenario=self.s, t=self.row_t[:n], states=states,
+                     delta_sq=self.row_dsq[:n], lyapunov=V,
+                     delta_tilde_sq=self.row_tilde[:n] if self.track_tilde else None,
+                     events=self.events, drive_changes=self.drive_changes,
+                     held_changes=self.held_changes, consensus_time=self.consensus_time)
 
 
 def _build_schedules(s: Scenario) -> list[ChannelSchedule]:
@@ -398,55 +403,100 @@ def _build_schedules(s: Scenario) -> list[ChannelSchedule]:
     return scheds
 
 
-def run(s: Scenario) -> Trace:
-    """Simulate one scenario; dispatches to the event-triggered loop when the
-    error model is of trigger type."""
-    if s.error_model.kind == "event_trigger":
-        return run_event_triggered(s)
-    eng = _Engine(s)
-    if s.horizon == 0.0:
-        eng.snapshot()
-        return eng.finish()
-    scheds = _build_schedules(s)
-    pending = {}
-    pending_tilde = {}
+def _check_budget(events: int) -> None:
+    if events > MAX_EVENTS:
+        raise RuntimeError(f"event budget exhausted: {events} events exceed {MAX_EVENTS}")
+
+
+def _timeline(s: Scenario, scheds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (time, channel, order) of every sample, delivery and grid
+    instant up to the horizon, in processing order. channel is -1 on the
+    grid; order is 2k for sample k (or grid point k), 2k + 1 for its delivery.
+    Sorting by (time, rank, channel, order) matches a priority queue that
+    takes each delivery when its sample is taken: one due at its own sample
+    instant takes the sample's rank, so it follows that sample."""
+    parts = [(np.linspace(0.0, s.horizon, s.snapshot_points + 1), RANK_GRID, -1, 0)]
     for ch, sc in enumerate(scheds):
-        for tk in sc.sample_instants:
-            if tk > s.horizon:
-                break
-            eng.push(tk, RANK_SAMPLE, ch)
-    for tg in np.linspace(0.0, s.horizon, s.snapshot_points + 1):
-        eng.push(tg, RANK_GRID, -1)
-    counters = [0] * len(scheds)
-    if s.startup == "first_sample":
+        inst = np.asarray(sc.sample_instants, dtype=float)
+        inst = inst[: np.searchsorted(inst, s.horizon, side="right")]
+        due = inst + np.asarray(sc.delays, dtype=float)[: len(inst)] + s.input_delay
+        parts += [(inst, RANK_SAMPLE, ch, 0),
+                  (due, np.where(due == inst, RANK_SAMPLE, RANK_DELIVER), ch, 1)]
+    t = np.concatenate([p[0] for p in parts])
+    _check_budget(len(t))
+    rank, ch, order = (np.concatenate(c) for c in zip(*[
+        (np.broadcast_to(r, len(tp)), np.full(len(tp), c), 2 * np.arange(len(tp)) + d)
+        for tp, r, c, d in parts]))
+    perm = np.lexsort((order, ch, rank, t))
+    t, ch, order = t[perm], ch[perm], order[perm]
+    n = np.searchsorted(t, s.horizon, side="right")   # drop deliveries past the horizon
+    return t[:n], ch[:n], order[:n]
+
+
+def run(s: Scenario) -> Trace:
+    """Simulate one scenario. The scheduled modes, event-triggered
+    broadcasts included, make one pass over the precomputed timeline; the
+    continuously monitored event-triggered modes go to run_event_triggered."""
+    em = s.error_model
+    triggered = em.kind == "event_trigger"
+    if triggered and s.mode != "broadcast":
+        return run_event_triggered(s)
+    if triggered and s.schedule is None and s.schedules is None:
+        raise ScenarioError("scheduled event triggering needs sampling schedules")
+    if s.horizon == 0.0:
+        return _Engine(s, 1).finish()
+    scheds = _build_schedules(s)
+    if triggered and s.schedule is not None and em.dwell > s.schedule.h_min + 1e-12:
+        raise ScenarioError("dwell time must not exceed the minimum sampling gap")
+    times, chans, orders = _timeline(s, scheds)
+    # The state steps through every timeline instant, skipped deliveries
+    # included; dts[i] is the step into entry i, zero at a repeated time.
+    dts = np.diff(times, prepend=0.0)
+    eng = _Engine(s, int(np.count_nonzero(dts)) + 2)
+    queue = [deque() for _ in range(eng.channels)]   # (k, measured, tilde)
+    last_sent = [None] * eng.channels
+
+    def fire(ch, value):
+        """Whether a sample is sent on: always, except that a triggered
+        broadcast waits until the value has moved far enough from the last."""
+        if not triggered:
+            return True
+        if last_sent[ch] is not None and not event_trigger_check(
+                value, last_sent[ch], em.omega, cap=em.cap):
+            return False
+        last_sent[ch] = np.array(value, copy=True)
+        return True
+
+    if s.startup == "first_sample" and not triggered:
         for ch in range(eng.channels):
             eng.set_hold(ch, eng.read_channel(ch))
-    eng.snapshot()
-    while eng.heap:
-        te, rank, ch, _ = heapq.heappop(eng.heap)
-        if te > s.horizon:
-            break
-        eng.advance(te)
-        if rank == RANK_DELIVER:
-            eng.set_hold(ch, pending.pop((ch, te)))
-            if eng.track_tilde:
-                eng.delta_tilde[ch] = pending_tilde.pop((ch, te))
-            eng.events.append((te, ch, "deliver"))
-        elif rank == RANK_SAMPLE:
-            k = counters[ch]
-            counters[ch] += 1
-            value = eng.read_channel(ch)
-            measured = eng.measure(ch, value)
-            deliver_at = te + scheds[ch].delays[k] + s.input_delay
-            pending[(ch, deliver_at)] = measured
-            if eng.track_tilde:
-                # disagreement at the sampling instant, held from delivery on
-                pending_tilde[(ch, deliver_at)] = eng.X[ch] - eng.kappa
-            eng.push(deliver_at, RANK_DELIVER, ch)
-            eng.events.append((te, ch, "sample"))
-        eng.snapshot()
-        if s.stop_at_consensus and eng.consensus_time is not None:
-            break
+    for sl in _chunks(len(times)):
+        expA, phi = eng.prop.pairs(dts[sl])
+        for j, (te, ch, order) in enumerate(zip(times[sl].tolist(), chans[sl].tolist(),
+                                                orders[sl].tolist())):
+            if te != eng.t:
+                eng.advance(te, expA[j], phi[j])
+            if ch >= 0 and order & 1:
+                q = queue[ch]
+                if not q or q[0][0] != order >> 1:
+                    continue        # its sample did not fire
+                _, value, tilde = q.popleft()
+                eng.set_hold(ch, value)
+                if eng.track_tilde:
+                    eng.delta_tilde[ch] = tilde
+                eng.events.append((te, ch, "deliver"))
+            elif ch >= 0:
+                value = eng.read_channel(ch)
+                if fire(ch, value):
+                    # disagreement at the sampling instant, held from delivery on
+                    tilde = eng.X[ch] - eng.kappa if eng.track_tilde else None
+                    queue[ch].append((order >> 1, eng.measure(ch, value), tilde))
+                    if triggered:
+                        eng.events.append((te, ch, "update"))
+                eng.events.append((te, ch, "sample"))
+            eng.snapshot()
+            if eng.stopped():
+                return eng.finish()
     return eng.finish()
 
 
@@ -466,34 +516,37 @@ def run_event_triggered(s: Scenario) -> Trace:
     if em.kind != "event_trigger":
         raise ScenarioError("run_event_triggered needs an event_trigger error model")
     if s.mode == "broadcast":
-        return _run_triggered_broadcast(s)
+        return run(s)
     if s.mode not in ("abstract_coupled", "event_triggered"):
         raise ScenarioError("event triggering supports abstract or broadcast modes")
     if s.input_delay != 0.0:
         raise ScenarioError("abstract event-triggered mode excludes delays")
 
-    eng = _Engine(s)
+    eng = _Engine(s, s.snapshot_points + 2)
     if s.horizon == 0.0:
-        eng.snapshot()
         return eng.finish()
     dwell = em.dwell
     dt_check = dwell / 50.0
+    # each channel's events lie at least dt_check apart
+    _check_budget(s.snapshot_points + 1
+                  + eng.channels * (math.ceil(s.horizon / dt_check) + 2))
     last_update = [0.0] * eng.channels
+    # (time, rank, channel) is unique: one pending event per channel
+    heap = [(tg, RANK_GRID, -1)
+            for tg in np.linspace(0.0, s.horizon, s.snapshot_points + 1)]
     # first update at t = 0 for every channel
     for ch in range(eng.channels):
         eng.set_hold(ch, eng.read_channel(ch))
         eng.events.append((0.0, ch, "update"))
-        eng.push(dwell, RANK_DWELL_EXPIRE, ch)
-    for tg in np.linspace(0.0, s.horizon, s.snapshot_points + 1):
-        eng.push(tg, RANK_GRID, -1)
-    eng.snapshot()
+        heap.append((dwell, RANK_DWELL_EXPIRE, ch))
+    heapq.heapify(heap)
 
     def triggered(ch, X):
         return event_trigger_check(eng.read_channel(ch, X), eng.H[ch],
                                    em.omega, cap=em.cap)
 
-    while eng.heap:
-        te, rank, ch, _ = heapq.heappop(eng.heap)
+    while heap:
+        te, rank, ch = heapq.heappop(heap)
         if te > s.horizon:
             break
         eng.advance(te)
@@ -514,70 +567,14 @@ def run_event_triggered(s: Scenario) -> Trace:
                         te = hi
                     else:
                         te = lo if lo < hi else te
-                    eng.X = eng.state_at(te)
-                    if eng.kappa is not None:
-                        expA, _ = eng.prop.pair(te - eng.t)
-                        eng.kappa = expA @ eng.kappa
-                    eng.t = te
+                    eng.advance(te)
                 eng.set_hold(ch, eng.read_channel(ch))
                 eng.events.append((te, ch, "update"))
                 last_update[ch] = te
-                eng.push(te + dwell, RANK_DWELL_EXPIRE, ch)
+                heapq.heappush(heap, (te + dwell, RANK_DWELL_EXPIRE, ch))
             else:
-                eng.push(te + dt_check, RANK_TRIGGER_CHECK, ch)
+                heapq.heappush(heap, (te + dt_check, RANK_TRIGGER_CHECK, ch))
         eng.snapshot()
-    return eng.finish()
-
-
-def _run_triggered_broadcast(s: Scenario) -> Trace:
-    em = s.error_model
-    if s.schedule is None and s.schedules is None:
-        raise ScenarioError("scheduled event triggering needs sampling schedules")
-    eng = _Engine(s)
-    if s.horizon == 0.0:
-        eng.snapshot()
-        return eng.finish()
-    scheds = _build_schedules(s)
-    if s.schedule is not None and em.dwell > s.schedule.h_min + 1e-12:
-        raise ScenarioError("dwell time must not exceed the minimum sampling gap")
-    pending = {}
-    pending_tilde = {}
-    counters = [0] * len(scheds)
-    last_broadcast = [None] * eng.channels
-    for ch, sc in enumerate(scheds):
-        for tk in sc.sample_instants:
-            if tk > s.horizon:
-                break
-            eng.push(tk, RANK_SAMPLE, ch)
-    for tg in np.linspace(0.0, s.horizon, s.snapshot_points + 1):
-        eng.push(tg, RANK_GRID, -1)
-    eng.snapshot()
-    while eng.heap:
-        te, rank, ch, _ = heapq.heappop(eng.heap)
-        if te > s.horizon:
-            break
-        eng.advance(te)
-        if rank == RANK_DELIVER:
-            eng.set_hold(ch, pending.pop((ch, te)))
-            eng.delta_tilde[ch] = pending_tilde.pop((ch, te))
-            eng.events.append((te, ch, "deliver"))
-        elif rank == RANK_SAMPLE:
-            k = counters[ch]
-            counters[ch] += 1
-            value = eng.read_channel(ch)
-            fire = last_broadcast[ch] is None or event_trigger_check(
-                value, last_broadcast[ch], em.omega, cap=em.cap)
-            if fire:
-                last_broadcast[ch] = np.array(value, copy=True)
-                deliver_at = te + scheds[ch].delays[k] + s.input_delay
-                pending[(ch, deliver_at)] = np.array(value, copy=True)
-                pending_tilde[(ch, deliver_at)] = eng.X[ch] - eng.kappa
-                eng.push(deliver_at, RANK_DELIVER, ch)
-                eng.events.append((te, ch, "update"))
-            eng.events.append((te, ch, "sample"))
-        eng.snapshot()
-        if s.stop_at_consensus and eng.consensus_time is not None:
-            break
     return eng.finish()
 
 
@@ -627,9 +624,10 @@ def average_state_error(trace: Trace) -> float:
     n = s.graph.n
     prop = Propagator(s.model.A)
     mean0 = s.x0.reshape(n, N).mean(axis=0)
+    means = trace.states.reshape(-1, n, N).mean(axis=1)
     worst = 0.0
-    for t, row in zip(trace.t, trace.states):
-        expA, _ = prop.pair(t)
-        worst = max(worst, float(np.linalg.norm(
-            row.reshape(n, N).mean(axis=0) - expA @ mean0)))
+    for sl in _chunks(len(trace.t)):
+        expA, _ = prop.pairs(trace.t[sl])
+        drift = np.linalg.norm(means[sl] - expA @ mean0, axis=1)
+        worst = max(worst, float(drift.max(initial=0.0)))
     return worst

@@ -195,3 +195,25 @@ def test_sweep_parallel_runs(ex_file, tmp_path, capsys, monkeypatch):
     report = json.loads(out)
     assert [r["seed"] for r in report["runs"]] == [1, 2, 3]
     assert (out_dir / "trace_seed2.csv").exists()
+
+
+def test_run_divergence_exits_4_without_trace(ex_file, tmp_path, capsys):
+    out_dir = tmp_path / "diverged"
+    code, out = run_cli(capsys, "run", ex_file(2, gain=[[200.0]], horizon=8.0),
+                        "--out", str(out_dir))
+    assert code == 4
+    assert "diverged" in json.loads(out)["error"]
+    assert not (out_dir / "trace.csv").exists()
+
+
+def test_reproduce_divergence_exits_4_without_trace(tmp_path, capsys, monkeypatch):
+    from asynclab import scenarios
+    example2 = scenarios.example2_doc
+
+    def unstable(seed=0):
+        return dict(example2(seed), gain=[[200.0]], horizon=8.0)
+    monkeypatch.setattr(scenarios, "example2_doc", unstable)
+    code, out = run_cli(capsys, "reproduce", "--example", "2", "--out", str(tmp_path))
+    assert code == 4
+    assert "diverged" in out
+    assert not (tmp_path / "example2.csv").exists()

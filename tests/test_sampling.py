@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from asynclab.sampling import (ChannelSchedule, ErrorModel, ScheduleError,
+from asynclab.sampling import (DELAY_GUARD, ChannelSchedule, ErrorModel,
+                               ScheduleError,
                                apply_additive_error,
                                apply_multiplicative_error, channel_rng,
                                event_trigger_check, generate_schedule,
@@ -32,6 +33,48 @@ def test_schedule_determinism():
     assert np.array_equal(a.delays, b.delays)
     c = generate_schedule(0.005, 0.012, 0.004, 5.0, seed=3, channel_id=2)
     assert not np.array_equal(a.sample_instants, c.sample_instants)
+
+
+def _loop_schedule(h_min, h_max, tau_max, horizon, seed, channel_id):
+    """Reference: one gap drawn and added at a time."""
+    rng = channel_rng(seed, channel_id)
+    instants = [float(rng.uniform(0.0, h_min))]
+    while instants[-1] < horizon:
+        instants.append(instants[-1] + float(rng.uniform(h_min, h_max)))
+    instants = np.array(instants)
+    gaps = np.diff(instants, append=instants[-1] + h_min)
+    caps = np.minimum(tau_max, gaps * (1.0 - DELAY_GUARD))
+    return instants, rng.uniform(0.0, 1.0, size=len(instants)) * caps
+
+
+@pytest.mark.parametrize("params", [
+    (0.005, 0.012, 0.005, 60.0), (0.025, 0.025, 0.02, 40.0),
+    (0.02, 0.05, 0.019, 30.0), (0.001, 1.0, 0.0005, 50.0),
+    (0.05, 0.15, 0.04, 0.01), (0.3, 0.7, 0.0, 2.0)])
+def test_block_drawn_schedule_matches_one_at_a_time_reference(params):
+    for seed, ch in ((0, 0), (1, 3), (7, 1)):
+        instants, delays = _loop_schedule(*params, seed, ch)
+        s = generate_schedule(*params, seed, ch)
+        assert np.array_equal(s.sample_instants, instants)
+        assert np.array_equal(s.delays, delays)
+
+
+def test_log_quantize_matches_masked_reference():
+    rng = np.random.default_rng(5)
+    for level in (1.1, 2.0, 1.0001):
+        x = rng.standard_normal(4000) * 10.0 ** rng.uniform(-8, 8, 4000)
+        x[::7] = 0.0
+        x[1::11] = level ** rng.integers(-20, 20, len(x[1::11]))
+        nz = x != 0.0
+        logs = np.log(np.abs(x[nz])) / np.log(level)
+        snapped = np.round(logs)
+        exps = np.where(np.abs(logs - snapped) < 1e-9, snapped, np.floor(logs))
+        expected = np.zeros_like(x)
+        expected[nz] = np.sign(x[nz]) * level**exps
+        for chunk in np.array_split(x, 400):     # small vectors, as the engine passes
+            got = log_quantize(chunk, level)
+            assert np.array_equal(got, expected[:len(chunk)])
+            expected = expected[len(chunk):]
 
 
 def test_schedule_parameter_errors():

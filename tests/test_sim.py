@@ -1,13 +1,18 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from asynclab.graphs import cycle_graph, path_graph
+from asynclab import sim
+from asynclab.graphs import build_algebra, cycle_graph, path_graph
 from asynclab.matan import LtiModel
 from asynclab.sampling import ChannelSchedule, ErrorModel, channel_rng
-from asynclab.sim import (Scenario, ScenarioError, ScheduleParams,
-                          average_state_error, metrics, min_update_gap, run,
-                          run_event_triggered)
+from asynclab.scenarios import builtin_example, parse_scenario
+from asynclab.sim import (DivergenceError, Scenario, ScenarioError,
+                          ScheduleParams, average_state_error, metrics,
+                          min_update_gap, run, run_event_triggered)
 
 OSCILLATOR = LtiModel(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]])
 INTEGRATOR = LtiModel(A=[[0.0]], B=[[1.0]])
@@ -291,3 +296,137 @@ def test_scenario_validation_errors():
             mode="event_triggered", model=INTEGRATOR, gain=[[1.0]],
             x0=[0.0], horizon=1.0, coupling=np.eye(1), input_delay=0.1,
             error_model=ErrorModel.event_trigger(0.1, dwell=0.05)))
+
+
+# -- engine equivalence -------------------------------------------------------
+# Reference outputs of the heap-driven engine that preceded the precomputed
+# timeline: a digest of the event list, event counts by kind, trace rows and
+# the final state, for each scenario below (seed 1 throughout).
+
+def _example(number, horizon, **overrides):
+    doc, _ = builtin_example(number, seed=1)
+    doc.update(horizon=horizon, **overrides)
+    return parse_scenario(doc)
+
+
+def _equivalence_scenario(name):
+    triangle = np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]])
+    inst = np.arange(0.0, 2.0, 0.1)
+    if name == "ex1":
+        return _example(1, 3.0)
+    if name == "ex2":
+        return _example(2, 5.0)
+    if name == "ex3":
+        return _example(3, 5.0)
+    if name == "ex2_stop":
+        return replace(_example(2, 30.0), stop_at_consensus=True, consensus_tol=1e-4)
+    if name == "ex2_zero_delay":
+        return _example(2, 3.0, schedule={"h_min": 0.02, "h_max": 0.05, "tau_max": 0.0})
+    if name == "saturated":
+        return Scenario(mode="saturated", model=OSCILLATOR, gain=0.3 * np.eye(2),
+                        x0=[1.0, 0.0, -0.5, 0.5, 0.2, -0.8], horizon=3.0,
+                        coupling=triangle, seed=1, saturation=0.1,
+                        schedule=ScheduleParams(0.05, 0.1, 0.04),
+                        startup="first_sample", input_delay=0.013,
+                        snapshot_points=50)
+    if name == "coincident":
+        # all channels sample together; two deliver at their sample instant
+        return Scenario(mode="abstract_coupled", model=OSCILLATOR,
+                        gain=0.3 * np.eye(2), x0=[1.0, 0.0, -0.5, 0.5, 0.2, -0.8],
+                        horizon=2.0, coupling=triangle, seed=1,
+                        schedules=(ChannelSchedule(0, inst, np.zeros_like(inst)),
+                                   ChannelSchedule(1, inst, np.full_like(inst, 0.05)),
+                                   ChannelSchedule(2, inst, np.zeros_like(inst))),
+                        error_model=ErrorModel.multiplicative(0.05),
+                        snapshot_points=40)
+    assert name == "event_triggered"
+    return Scenario(mode="event_triggered", model=OSCILLATOR, gain=0.4 * np.eye(2),
+                    x0=[1.0, 0.0, -1.0, 0.2], horizon=3.0, seed=1,
+                    coupling=np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                    error_model=ErrorModel.event_trigger(0.04, dwell=0.02),
+                    snapshot_points=100)
+
+
+EQUIVALENCE = {
+    "ex1": ("73c9f49a51ceb641", {"sample": 1766, "deliver": 1764}, 4531,
+            [-0.2548752127785641, -0.08411623068463199, -0.19137502128938896,
+             -0.03779803219768015, -0.026674619647334197, -0.05895328275126253,
+             -0.1281489081422029, 0.046359091170962874, -0.1768082346167823,
+             -0.07738680164530355]),
+    "ex2": ("1663f8cc5ef73aab", {"sample": 723, "deliver": 722}, 2446,
+            [0.1604632590580596, 0.16003926624885143, 0.1595572708556239,
+             0.15969044905245774, 0.1602497547850086]),
+    "ex3": ("e2bc4747b83081bf", {"update": 106, "sample": 1000, "deliver": 106}, 2107,
+            [0.11345020630601657, 0.09137801590523918, 0.10356192925627968,
+             0.10142230832718506, 0.09018754020527775]),
+    "ex2_stop": ("25007916771baa9e", {"sample": 604, "deliver": 604}, 1349,
+                 [0.16144689906873766, 0.16010822466339908, 0.15862588297693264,
+                  0.1590358339640034, 0.16078315932692816]),
+    "ex2_zero_delay": ("e60f482549f3e27a", {"sample": 430, "deliver": 430}, 1431,
+                       [0.16861316066729692, 0.16071636443443169, 0.15182644327579245,
+                        0.1542350138765156, 0.1646090177459617]),
+    "saturated": ("84c4c09450ba67b1", {"sample": 119, "deliver": 119}, 289,
+                  [-0.8787680170050401, -0.10576859590719917, 0.4202407564305678,
+                   -0.34081573624649075, -0.27680348946379135, 0.6447980754919137]),
+    "coincident": ("33ac3830f99b2c47", {"sample": 60, "deliver": 60}, 45,
+                   [-0.28876237477222305, -0.4533781773392313, 0.15405657587346375,
+                    -0.031653715520007994, -0.4293862147319437, -0.02663225495459371]),
+    "event_triggered": ("3dce5ba94f0fa579", {"update": 36}, 13028,
+                        [-0.06323685046863167, -0.08369390696971113,
+                         0.09146085208056842, -0.11430459235028347]),
+}
+
+
+def _event_digest(events):
+    h = hashlib.sha256()
+    for t, ch, kind in events:
+        h.update(f"{float(t)!r},{ch},{kind};".encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE))
+def test_engine_matches_reference_outputs(name):
+    digest, kinds, rows, final = EQUIVALENCE[name]
+    tr = run(_equivalence_scenario(name))
+    counts = {}
+    for _, _, kind in tr.events:
+        counts[kind] = counts.get(kind, 0) + 1
+    assert counts == kinds
+    assert _event_digest(tr.events) == digest
+    assert len(tr.t) == rows == len(tr.states) == len(tr.delta_sq)
+    assert np.max(np.abs(tr.final_state - final)) <= 1e-12
+
+
+def test_stop_at_consensus_ends_at_the_consensus_row():
+    tr = run(_equivalence_scenario("ex2_stop"))
+    assert tr.consensus_time == pytest.approx(4.202999198552228, abs=1e-12)
+    assert tr.t[-1] == tr.consensus_time
+    assert tr.events[-1][0] <= tr.consensus_time
+
+
+def test_event_budget_checked_before_the_loop(monkeypatch):
+    def no_flow_maps(self, dts):
+        raise AssertionError("the loop started")
+    monkeypatch.setattr(sim, "MAX_EVENTS", 100)
+    monkeypatch.setattr(sim.Propagator, "pairs", no_flow_maps)
+    with pytest.raises(RuntimeError, match="event budget"):
+        run(_example(2, 5.0))
+
+
+def test_divergence_raises_with_time():
+    s = _example(2, 8.0, gain=[[200.0]])
+    with pytest.raises(DivergenceError, match=r"at t = 5\.\d+") as info:
+        run(s)
+    assert isinstance(info.value, RuntimeError)
+
+
+def test_lyapunov_column_matches_per_row_formula():
+    s = _equivalence_scenario("ex1")      # 4,531 rows: more than one chunk
+    tr = run(s)
+    inc = build_algebra(s.graph).incidence
+    expected = []
+    for row in tr.states:
+        Z = inc.T @ row.reshape(5, 2)
+        expected.append(0.5 * np.sum(Z * (Z @ s.lyapunov_P.T)))
+    assert len(tr.t) > sim.FLOW_CHUNK
+    assert np.allclose(tr.lyapunov, expected, rtol=1e-12, atol=1e-15)
