@@ -21,17 +21,15 @@ The test suite cross-checks this against a grid-seeded numeric optimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .design import GainDesign, design_constants, theorem4_sigma, verify_lyapunov_family
 from .graphs import GraphAlgebra, is_connected
-from .matan import LtiModel, expm, max_singular_value
+from .matan import LtiModel, expm
 
 SEVEN_THIRDS = 7.0 / 3.0
-SCAN_RESOLUTION = 1e-4
-UNBOUNDED_SCAN_LIMIT = 1e3
 # Clamps for witness parameters whose exact optimum is a limit (0 or infinity).
 PARAM_FLOOR = 1e-9
 PARAM_CEIL = 1e9
@@ -155,39 +153,43 @@ def _best_margin(mu, eps, omega, lam_As, sigma_A, coupling, s):
 
 
 def _find_budget(mu, eps, omega, lam_As, sigma_A, coupling):
-    """Largest s with positive best margin: first sign change located by a
-    dense vectorized scan, then bisection to machine width.
+    """Largest lag s with positive best margin f(s) = mu - eps P(s), where
+    P(s) = e^{2 lam_As s} g(s)^2, g(s) = sqrt(omega) + c s and
+    c = sigma_A + sqrt(7/3) coupling; 0 when f(0) <= 0.
 
-    Returns (budget, unbounded). The scan (rather than blind bisection)
-    covers the non-monotone case lam_As < 0 where the margin can recover
-    for large s.
+    Returns (budget, lag), with lag the lag at which f is smallest. There is
+    no scan; P has one of three shapes:
+      * it rises without bound (lam_As >= 0 and c > 0, or c = 0 with
+        lam_As > 0 and omega > 0): the root is bracketed by doubling from 1;
+      * it peaks at s* = max(0, (-c/lam_As - sqrt(omega))/c) (lam_As < 0,
+        c > 0): the budget is unbounded if f(s*) > 0, else the root is in
+        [0, s*];
+      * it never rises (c = 0 otherwise): the budget is unbounded.
+    An unbounded budget is math.inf at lag s* (0 for the third shape); a
+    bracketed root is bisected to adjacent floats and the budget is its
+    lower end, so f(budget) > 0.
     """
     fm = lambda s: _best_margin(mu, eps, omega, lam_As, sigma_A, coupling, s)
-    if fm(0.0) <= 0:
-        return 0.0, False
-    lo = 0.0
-    hi = None
-    for a, b in ((0.0, 1.0), (1.0, 10.0), (10.0, 100.0),
-                 (100.0, UNBOUNDED_SCAN_LIMIT)):
-        grid = np.arange(a, b + SCAN_RESOLUTION / 2, SCAN_RESOLUTION)
-        vals = fm(grid)
-        neg = np.nonzero(vals <= 0)[0]
-        if neg.size:
-            k = neg[0]
-            lo, hi = grid[k - 1] if k > 0 else a, grid[k]
-            break
-        lo = b
-    if hi is None:
-        return float(UNBOUNDED_SCAN_LIMIT), True
-    for _ in range(200):
+    c = sigma_A + SEVEN_THIRDS**0.5 * coupling
+    if lam_As < 0 and c > 0:
+        peak = max((-c / lam_As - math.sqrt(omega)) / c, 0.0)
+    elif c > 0 or (lam_As > 0 and omega > 0):
+        peak = math.inf
+    else:
+        peak = 0.0
+    if peak < math.inf and fm(peak) > 0:
+        return math.inf, peak
+    lo, hi = 0.0, peak if peak < math.inf else 1.0
+    while fm(hi) > 0:
+        lo, hi = hi, 2.0 * hi
+    while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
-            break
+            return lo, lo
         if fm(mid) > 0:
             lo = mid
         else:
             hi = mid
-    return float(lo), False
 
 
 def _budget_report(mu_eff, eps, omega, lam_As, sigma_A, coupling,
@@ -199,10 +201,11 @@ def _budget_report(mu_eff, eps, omega, lam_As, sigma_A, coupling,
             diagnostics="infeasible: eps * omega >= available margin "
                         "(stability cannot be certified for any h, tau)" + note,
             details=dict(extra_details or {}))
-    budget, unbounded = _find_budget(mu_eff, eps, omega, lam_As, sigma_A, coupling)
-    alpha, beta = _best_witness(omega, sigma_A, coupling, max(budget, 1e-12))
+    budget, lag = _find_budget(mu_eff, eps, omega, lam_As, sigma_A, coupling)
+    unbounded = budget == math.inf
+    alpha, beta = _best_witness(omega, sigma_A, coupling, max(lag, 1e-12))
     margin = _margin_at(mu_eff, eps, omega, lam_As, sigma_A, coupling,
-                        budget, alpha, beta)
+                        lag, alpha, beta)
     # The clamped witness can lose ~1e-9 of margin relative to the exact
     # limit optimum; shave the budget until the witness itself certifies it.
     while not unbounded and margin <= 0 and budget > 0:
@@ -211,9 +214,9 @@ def _budget_report(mu_eff, eps, omega, lam_As, sigma_A, coupling,
         margin = _margin_at(mu_eff, eps, omega, lam_As, sigma_A, coupling,
                             budget, alpha, beta)
     witness = SearchParams(alpha=alpha, beta=beta, gamma=gamma, eta=eta)
-    diag = ("unbounded: margin stays positive for all scanned lags; "
-            "no finite budget is implied by the condition" + note) if unbounded \
-        else f"certified total lag budget {budget:.6g}" + note
+    diag = (f"unbounded: the margin stays positive for every lag; it is "
+            f"smallest at lag {lag:.6g}, where the witness is given" + note) \
+        if unbounded else f"certified total lag budget {budget:.6g}" + note
     return BoundReport(feasible=True, margin=float(margin), budget=budget,
                        witness=witness, unbounded=unbounded, diagnostics=diag,
                        details=dict(extra_details or {}))
@@ -266,10 +269,10 @@ def theorem2_budget(model: LtiModel, design: GainDesign, algebra: GraphAlgebra,
     sup, gamma_star, any_period = _gamma_sup(a, b, coff)
     details = {"sigma": consts.sigma_edge, "lambda_PBK_s": consts.lambda_PBK_s,
                "sigma_BK": consts.sigma_BK, "gamma_star": gamma_star,
-               "gamma_sup": sup if math.isfinite(sup) else -1.0}
+               "gamma_sup": sup}
     if any_period:
         return BoundReport(
-            feasible=True, margin=math.inf, budget=float(UNBOUNDED_SCAN_LIMIT),
+            feasible=True, margin=math.inf, budget=math.inf,
             witness=SearchParams(alpha=1.0, beta=1.0, gamma=gamma_star),
             unbounded=True, details=details,
             diagnostics="unbounded: the dissipation inequality is strict for "
@@ -287,10 +290,8 @@ def theorem3_budget(algebra: GraphAlgebra) -> BoundReport:
     lam2, lam_n = algebra.lambda_2, algebra.lambda_n
     sigma = max(2.0 * lam2, lam_n - 2.0 * lam2)
     sup, gamma_star, any_period = _gamma_sup(lam2, sigma / 2.0, lam_n - lam2)
-    if any_period:  # needs lam_n < ... ; unreachable for connected graphs
-        budget = float(UNBOUNDED_SCAN_LIMIT)
-    else:
-        budget = math.sqrt(3.0 / (7.0 * lam_n**2) * sup)
+    # sup is infinite, and so is the budget, when any period is certified
+    budget = math.sqrt(3.0 / (7.0 * lam_n**2) * sup)
     details = {"sigma": sigma, "gamma_star": gamma_star, "objective": sup,
                "synchronous_necessary_sufficient": 2.0 / lam_n}
     return BoundReport(
@@ -319,13 +320,19 @@ def marginally_stable(A, tol: float = 1e-8) -> bool:
     return True
 
 
+def _require_marginally_stable(A):
+    if not marginally_stable(A):
+        raise InfeasibleError("A must be marginally stable for the broadcast bound")
+
+
 def max_expm_norms(A, samples: int = 10001) -> tuple[float, float]:
     """Sampled sup over s >= 0 of ||e^{As}||_2 and of the maximum row sum
     norm ||e^{As}||_inf, for marginally stable A.
 
     The sampling window covers one period of the slowest oscillatory mode
     and ten time constants of the slowest decaying mode; the returned values
-    are sample maxima (a documented approximation).
+    are sample maxima (a documented approximation). All samples come from
+    one batched expm, one batched svd and one row sum.
     """
     A = np.asarray(A, dtype=float)
     eig = np.linalg.eigvals(A)
@@ -337,11 +344,9 @@ def max_expm_norms(A, samples: int = 10001) -> tuple[float, float]:
     decays = -eig.real[eig.real < -1e-9]
     if decays.size:
         T = max(T, 10.0 / decays.min())
-    best2 = bestinf = 0.0
-    for s in np.linspace(0.0, T, samples):
-        E = expm(A, s)
-        best2 = max(best2, max_singular_value(E))
-        bestinf = max(bestinf, float(np.abs(E).sum(axis=1).max()))
+    E = expm(A, np.linspace(0.0, T, samples))
+    best2 = float(np.linalg.svd(E, compute_uv=False)[:, 0].max())
+    bestinf = float(np.abs(E).sum(axis=2).max())
     return best2, bestinf
 
 
@@ -369,8 +374,7 @@ def theorem4_error_bound(model: LtiModel, design: GainDesign,
     Raises SetMembershipError when (alpha, beta, gamma, eta) lies outside the
     feasibility set, listing the failed conditions.
     """
-    if not marginally_stable(model.A):
-        raise InfeasibleError("A must be marginally stable for the broadcast bound")
+    _require_marginally_stable(model.A)
     n = algebra.graph.n
     c = model.constants
     consts = design_constants(design, model, algebra)
@@ -408,7 +412,8 @@ def theorem4_error_bound(model: LtiModel, design: GainDesign,
 def theorem4_bound_opt_beta(model: LtiModel, design: GainDesign,
                             algebra: GraphAlgebra, h: float, tau: float,
                             delta_e: float, x0_sum, alpha: float, gamma: float,
-                            eta: float, theta: float = 1.0 + 1e-9):
+                            eta: float, theta: float = 1.0 + 1e-9,
+                            _norms: tuple[float, float] | None = None):
     """Error bound with beta at its closed-form optimum (the other search
     parameters fixed); returns (bound, beta)."""
     c = model.constants
@@ -417,7 +422,27 @@ def theorem4_bound_opt_beta(model: LtiModel, design: GainDesign,
     beta = _clamp(c.sigma_A / denom) if denom > 0 else PARAM_CEIL
     p = SearchParams(alpha=alpha, beta=beta, gamma=gamma, eta=eta, theta=theta)
     return theorem4_error_bound(model, design, algebra, h, tau, delta_e,
-                                x0_sum, p), beta
+                                x0_sum, p, _norms=_norms), beta
+
+
+def theorem4_report(model: LtiModel, design: GainDesign, algebra: GraphAlgebra,
+                    h: float, tau: float, delta_e: float, x0_sum, alpha: float,
+                    gamma: float, eta: float, theta: float = 1.0 + 1e-9) -> dict:
+    """Theorem-4 error bound at the optimal beta, with the error level
+    Delta(h) and the mismatch bound delta_kappa it rests on; the e^{As}
+    norm constants are sampled once for all three."""
+    _require_marginally_stable(model.A)
+    norms = max_expm_norms(model.A)
+    value, beta = theorem4_bound_opt_beta(
+        model, design, algebra, h, tau, delta_e, x0_sum, alpha, gamma, eta,
+        theta, _norms=norms)
+    dk = delta_kappa(model, x0_sum, algebra.graph.n, h, max_norm2=norms[0])
+    consts = design_constants(design, model, algebra)
+    return {"feasible": True, "error_bound": value,
+            "delta_h": algebra.lambda_n * consts.sigma_BK * (dk + delta_e),
+            "delta_kappa": dk,
+            "witness": {"alpha": alpha, "beta": beta, "gamma": gamma,
+                        "eta": eta, "theta": theta}}
 
 
 def theorem4_best_bound(model: LtiModel, design: GainDesign,
@@ -466,10 +491,8 @@ def corollary2_budget(q: BoundQuery) -> BoundReport:
     report = theorem1_budget(BoundQuery(
         mu=q.mu, eps=q.eps, omega=q.omega, lambda_As=q.lambda_As,
         sigma_A=q.sigma_A, sigma_G=q.sigma_G, sigma_K=q.sigma_K))
-    return BoundReport(feasible=report.feasible, margin=report.margin,
-                       budget=report.budget, witness=report.witness,
-                       unbounded=report.unbounded, details=report.details,
-                       diagnostics="max dwell time h (tau = 0): " + report.diagnostics)
+    return replace(report, diagnostics="max dwell time h (tau = 0): "
+                                       + report.diagnostics)
 
 
 def theorem5_budget(q: BoundQuery) -> BoundReport:
@@ -479,11 +502,6 @@ def theorem5_budget(q: BoundQuery) -> BoundReport:
     base = theorem1_budget(q)
     if not base.feasible:
         return base
-    if base.unbounded:
-        return BoundReport(feasible=True, margin=base.margin, budget=base.budget,
-                           witness=base.witness, unbounded=True,
-                           diagnostics=base.diagnostics,
-                           details={**base.details, "total_lag_budget": base.budget})
     residual = base.budget - q.tau_in
     if residual <= 0:
         return BoundReport(
@@ -493,6 +511,7 @@ def theorem5_budget(q: BoundQuery) -> BoundReport:
             details={"total_lag_budget": base.budget})
     return BoundReport(
         feasible=True, margin=base.margin, budget=residual, witness=base.witness,
+        unbounded=base.unbounded,
         diagnostics=f"residual h + tau budget {residual:.6g} after input delay "
                     f"{q.tau_in:.6g} (total lag budget {base.budget:.6g})",
         details={"total_lag_budget": base.budget})

@@ -53,19 +53,31 @@ def _load_doc(path):
         return json.load(f)
 
 
-def _emit(obj):
-    json.dump(obj, sys.stdout, indent=2, default=_jsonable)
-    sys.stdout.write("\n")
-
-
-def _jsonable(x):
+def _strict(x):
+    """x in plain JSON values: arrays become lists, numpy scalars Python
+    numbers, and non-finite floats null (an unbounded budget is null with
+    "unbounded": true)."""
     if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    raise TypeError(f"not JSON-serializable: {type(x)}")
+        x = x.tolist()
+    elif isinstance(x, np.generic):
+        x = x.item()
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
+def _dump(obj, f):
+    """Write obj as strict JSON: no NaN or Infinity literals."""
+    json.dump(_strict(obj), f, indent=2, allow_nan=False)
+    f.write("\n")
+
+
+def _emit(obj):
+    _dump(obj, sys.stdout)
 
 
 # -- design -----------------------------------------------------------------
@@ -145,66 +157,38 @@ def _bound_theorem4(doc):
     gamma = float(sec.get("gamma", 3.188))
     eta = float(sec.get("eta", 1.6))
     theta = float(sec.get("theta", 1.0 + 1e-9))
-    value, beta = bounds.theorem4_bound_opt_beta(
-        model, design, algebra, h, tau, delta_e, x0_sum, alpha, gamma, eta, theta)
-    norms = bounds.max_expm_norms(model.A)
-    dk = bounds.delta_kappa(model, x0_sum, algebra.graph.n, h, max_norm2=norms[0])
-    from .design import design_constants
-    consts = design_constants(design, model, algebra)
-    delta_h = algebra.lambda_n * consts.sigma_BK * (dk + delta_e)
-    report = {
-        "feasible": True,
-        "error_bound": value,
-        "delta_h": delta_h,
-        "delta_kappa": dk,
-        "witness": {"alpha": alpha, "beta": beta, "gamma": gamma,
-                    "eta": eta, "theta": theta},
-    }
-    return report, EXIT_OK
+    return bounds.theorem4_report(model, design, algebra, h, tau, delta_e,
+                                  x0_sum, alpha, gamma, eta, theta)
 
 
 def cmd_bound(args):
     try:
         doc = _load_doc(args.file)
         t = args.theorem
-        if t in ("1", "c2", "5"):
-            q = _query_from_doc(doc)
-            if t == "1":
-                report = bounds.theorem1_budget(q)
-            elif t == "c2":
-                report = bounds.corollary2_budget(q)
-            else:
-                report = bounds.theorem5_budget(q)
-            _emit(report.to_dict())
-            return EXIT_OK if report.feasible else EXIT_INFEASIBLE
-        if t == "2":
-            model, design, algebra = _pipeline_inputs(doc)
-            report = bounds.theorem2_budget(model, design, algebra,
-                                            omega=_omega_from_doc(doc))
-            _emit(report.to_dict())
-            return EXIT_OK if report.feasible else EXIT_INFEASIBLE
-        if t == "c1":
-            level = _quant_level_from_doc(doc)
-            if "graph" in doc:
-                model, design, algebra = _pipeline_inputs(doc)
-                report = bounds.corollary1_budget(model, design, algebra,
-                                                  quant_level=level)
-            else:
-                report = bounds.corollary1_budget(_query_from_doc(doc),
-                                                  quant_level=level)
-            _emit(report.to_dict())
-            return EXIT_OK if report.feasible else EXIT_INFEASIBLE
-        if t == "3":
-            algebra = build_algebra(scenarios.parse_graph(doc))
-            report = bounds.theorem3_budget(algebra)
-            _emit(report.to_dict())
-            return EXIT_OK if report.feasible else EXIT_INFEASIBLE
         if t == "4":
-            report, code = _bound_theorem4(doc)
-            _emit(report)
-            return code
-        _emit({"error": f"unknown theorem {t!r}"})
-        return EXIT_INVALID
+            _emit(_bound_theorem4(doc))
+            return EXIT_OK
+        if t == "1":
+            report = bounds.theorem1_budget(_query_from_doc(doc))
+        elif t == "c2":
+            report = bounds.corollary2_budget(_query_from_doc(doc))
+        elif t == "5":
+            report = bounds.theorem5_budget(_query_from_doc(doc))
+        elif t == "2":
+            report = bounds.theorem2_budget(*_pipeline_inputs(doc),
+                                            omega=_omega_from_doc(doc))
+        elif t == "c1":
+            level = _quant_level_from_doc(doc)
+            inputs = (_pipeline_inputs(doc) if "graph" in doc
+                      else (_query_from_doc(doc),))
+            report = bounds.corollary1_budget(*inputs, quant_level=level)
+        elif t == "3":
+            report = bounds.theorem3_budget(build_algebra(scenarios.parse_graph(doc)))
+        else:
+            _emit({"error": f"unknown theorem {t!r}"})
+            return EXIT_INVALID
+        _emit(report.to_dict())
+        return EXIT_OK if report.feasible else EXIT_INFEASIBLE
     except (InfeasibleError, SetMembershipError) as exc:
         _emit({"feasible": False, "error": str(exc)})
         return EXIT_INFEASIBLE
@@ -241,7 +225,7 @@ def _budget_warning(doc, s):
         return None
     if not report.feasible:
         return "budget exceeded: no lag is certified for this configuration"
-    if not report.unbounded and lag > report.budget:
+    if lag > report.budget:
         return (f"budget exceeded: total lag {lag:.6g} is above the certified "
                 f"budget {report.budget:.6g}")
     return None
@@ -328,8 +312,7 @@ def cmd_run(args):
         return EXIT_RUNTIME
     report_path = os.path.join(outdir, "report.json")
     with open(report_path, "w") as f:
-        json.dump(report, f, indent=2, default=_jsonable)
-        f.write("\n")
+        _dump(report, f)
     report["report_path"] = report_path
     _emit(report)
     return EXIT_OK
@@ -363,15 +346,10 @@ def _golden_rows_example3(doc):
     x0 = np.asarray(doc["x0"], dtype=float)
     x0_sum = x0.reshape(algebra.graph.n, model.N).sum(axis=0)
     h, tau, delta_e = sched["h_max"], sched["tau_max"], em["cap"]
-    value, beta = bounds.theorem4_bound_opt_beta(
-        model, design, algebra, h, tau, delta_e, x0_sum,
-        alpha=0.5, gamma=3.188, eta=1.6)
-    norms = bounds.max_expm_norms(model.A)
-    dk = bounds.delta_kappa(model, x0_sum, algebra.graph.n, h, max_norm2=norms[0])
-    from .design import design_constants
-    consts = design_constants(design, model, algebra)
-    delta_h = algebra.lambda_n * consts.sigma_BK * (dk + delta_e)
-    return {"delta_h": delta_h, "error_bound": value, "beta": beta}
+    report = bounds.theorem4_report(model, design, algebra, h, tau, delta_e,
+                                    x0_sum, alpha=0.5, gamma=3.188, eta=1.6)
+    return {"delta_h": report["delta_h"], "error_bound": report["error_bound"],
+            "beta": report["witness"]["beta"]}
 
 
 def cmd_reproduce(args):
@@ -411,8 +389,7 @@ def cmd_reproduce(args):
         os.makedirs(args.out, exist_ok=True)
         write_trace_csv(trace, os.path.join(args.out, f"example{number}.csv"))
         with open(os.path.join(args.out, f"example{number}_report.json"), "w") as f:
-            json.dump(report, f, indent=2, default=_jsonable)
-            f.write("\n")
+            _dump(report, f)
     _emit(report)
     return EXIT_OK if all_pass else EXIT_GOLDEN
 

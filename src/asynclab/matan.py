@@ -52,16 +52,21 @@ def max_singular_value(M) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
-def expm(M, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential e^{M t}.
+def expm(M, t=1.0) -> np.ndarray:
+    """Matrix exponential e^{M t}; for a 1-d array of t, the stack of
+    e^{M t_k} along the first axis, from one batched call.
 
     Delegates to scipy's scaling-and-squaring implementation (Al-Mohy and
-    Higham, degree-13 Pade approximant with norm-based squaring).
+    Higham, degree-13 Pade approximant with norm-based squaring), which
+    treats every matrix of a stack on its own.
     """
     M = _as_square(M)
-    if not np.isfinite(t):
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise DimensionError(f"t must be a scalar or 1-d, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
-    out = sla.expm(M * t)
+    out = sla.expm(M * t[..., None, None])
     if not np.all(np.isfinite(out)):
         raise OverflowError("matrix exponential overflowed; ||M t|| too large")
     return out

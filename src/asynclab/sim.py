@@ -94,10 +94,15 @@ class Scenario:
             raise ScenarioError(f"unknown mode {self.mode!r}")
         if self.startup not in ("zero", "first_sample"):
             raise ScenarioError("startup must be 'zero' or 'first_sample'")
+        if self.startup == "first_sample" and self.error_model.kind == "event_trigger":
+            raise ScenarioError("startup 'first_sample' is not supported with "
+                                "event triggering")
         object.__setattr__(self, "gain", np.asarray(self.gain, dtype=float))
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).ravel())
-        if self.horizon < 0:
-            raise ScenarioError("horizon must be nonnegative")
+        if not np.all(np.isfinite(self.x0)):
+            raise ScenarioError("x0 must be finite")
+        if not (self.horizon >= 0 and math.isfinite(self.horizon)):
+            raise ScenarioError("horizon must be finite and nonnegative")
         if self.input_delay < 0:
             raise ScenarioError("input delay must be nonnegative")
         N = self.model.N
@@ -433,6 +438,9 @@ def _timeline(s: Scenario, scheds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t[:n], ch[:n], order[:n]
 
 
+# A diverging state overflows before the divergence check sees it; the check
+# reports it, so numpy stays quiet for the whole run.
+@np.errstate(over="ignore", invalid="ignore")
 def run(s: Scenario) -> Trace:
     """Simulate one scenario. The scheduled modes, event-triggered
     broadcasts included, make one pass over the precomputed timeline; the
@@ -467,7 +475,7 @@ def run(s: Scenario) -> Trace:
         last_sent[ch] = np.array(value, copy=True)
         return True
 
-    if s.startup == "first_sample" and not triggered:
+    if s.startup == "first_sample":
         for ch in range(eng.channels):
             eng.set_hold(ch, eng.read_channel(ch))
     for sl in _chunks(len(times)):
@@ -500,6 +508,7 @@ def run(s: Scenario) -> Trace:
     return eng.finish()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_event_triggered(s: Scenario) -> Trace:
     """Event-triggered updates with a mandatory dwell time.
 

@@ -1,20 +1,22 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 from asynclab.bounds import (BoundQuery, InfeasibleError, SearchParams,
-                             SetMembershipError, _best_margin, _gamma_sup,
-                             _margin_at, corollary1_budget, corollary2_budget,
-                             delta_kappa, marginally_stable, max_expm_norms,
-                             theorem1_budget, theorem1_margin,
+                             SetMembershipError, _best_margin, _find_budget,
+                             _gamma_sup, _margin_at, corollary1_budget,
+                             corollary2_budget, delta_kappa, marginally_stable,
+                             max_expm_norms, theorem1_budget, theorem1_margin,
                              theorem2_budget, theorem3_budget,
                              theorem4_best_bound, theorem4_bound_opt_beta,
                              theorem4_error_bound, theorem5_budget)
 from asynclab.design import riccati_design
 from asynclab.graphs import build_algebra, cycle_graph, path_graph
-from asynclab.matan import LtiModel
+from asynclab.matan import LtiModel, expm, max_singular_value
 
 OSCILLATOR = LtiModel(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]])
 INTEGRATOR = LtiModel(A=[[0.0]], B=[[1.0]])
@@ -110,6 +112,110 @@ def test_theorem1_unbounded_without_coupling_or_drift():
                                         lambda_As=0.0, sigma_A=0.0,
                                         sigma_G=0.0, sigma_K=0.0))
     assert report.feasible and report.unbounded
+    assert report.budget == math.inf
+
+
+# -- exact budget search vs the dense scan it replaced ----------------------
+
+SCAN_RESOLUTION = 1e-4
+SCAN_LIMIT = 1e3
+SCAN_CHUNK = 10**6
+
+
+def _scan_budget(mu, eps, omega, lam_As, sigma_A, coupling):
+    """Reference: the first sign change of the best margin on a 1e-4 grid
+    out to SCAN_LIMIT, then bisection to adjacent floats. Returns (budget,
+    unbounded); it cannot see a crossing beyond SCAN_LIMIT. The grid is
+    evaluated in chunks to keep memory flat."""
+    fm = lambda s: _best_margin(mu, eps, omega, lam_As, sigma_A, coupling, s)
+    if fm(0.0) <= 0:
+        return 0.0, False
+    lo = hi = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in ((0.0, 1.0), (1.0, 10.0), (10.0, 100.0), (100.0, SCAN_LIMIT)):
+            n = int(round((b - a) / SCAN_RESOLUTION)) + 1
+            for start in range(0, n, SCAN_CHUNK):
+                k = start + np.arange(min(SCAN_CHUNK, n - start))
+                neg = np.nonzero(fm(a + SCAN_RESOLUTION * k) <= 0)[0]
+                if neg.size:
+                    k = k[neg[0]]
+                    lo = a + SCAN_RESOLUTION * (k - 1) if k > 0 else a
+                    hi = a + SCAN_RESOLUTION * k
+                    break
+            if hi is not None:
+                break
+    if hi is None:
+        return SCAN_LIMIT, True
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, False
+        if fm(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_exact_budget_search_matches_scan():
+    # Draws cover every shape of the penalty: rising (lambda_As >= 0),
+    # peaked with and without a crossing (lambda_As < 0), and flat or
+    # falling without slope (c = 0).
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        mu = rng.uniform(0.2, 3.0)
+        eps = rng.uniform(0.2, 3.0)
+        omega = rng.choice([0.0, rng.uniform(0.001, 0.5)])
+        lam_As = rng.choice([0.0, rng.uniform(-3.0, 1.0)])
+        sigma_A = rng.choice([0.0, rng.uniform(0.1, 2.0)])
+        coupling = rng.choice([0.0, rng.uniform(0.1, 3.0)])
+        args = (mu, eps, omega, lam_As, sigma_A, coupling)
+        ref, ref_unbounded = _scan_budget(*args)
+        budget, lag = _find_budget(*args)
+        assert (budget == math.inf) == ref_unbounded, args
+        if not ref_unbounded:
+            assert budget == pytest.approx(ref, rel=1e-12, abs=0.0), args
+            assert lag == budget
+            assert budget == 0.0 or _best_margin(*args, budget) > 0
+
+
+def test_budget_beyond_the_old_scan_limit_is_finite():
+    # lambda_As = sigma_A = 0: the budget is (sqrt(mu/eps) - sqrt(omega)) / c,
+    # about 1624, past the s = 1000 where the dense scan called it unbounded.
+    q = BoundQuery(mu=2.473662513915308, eps=0.2826194151384146,
+                   omega=0.19521653405696718, sigma_G=0.0010144051820021316,
+                   sigma_K=1.0)
+    args = (q.mu, q.eps, q.omega, 0.0, 0.0, q.sigma_G)
+    assert _scan_budget(*args) == (SCAN_LIMIT, True)
+    closed_form = ((math.sqrt(q.mu / q.eps) - math.sqrt(q.omega))
+                   / (math.sqrt(7.0 / 3.0) * q.sigma_G))
+    assert _find_budget(*args)[0] == pytest.approx(closed_form, rel=1e-12)
+    report = theorem1_budget(q)
+    assert report.feasible and not report.unbounded
+    # The report may shave the budget until its clamped witness certifies it.
+    assert report.budget == pytest.approx(1624.14, abs=0.01)
+    assert report.budget <= closed_form
+    assert theorem1_margin(replace(q, h=report.budget), report.witness) > 0
+
+
+def test_unbounded_budget_is_infinite_with_worst_lag_witness():
+    q = BoundQuery(mu=1.0, eps=1.0, omega=0.01, lambda_As=-5.0, sigma_A=1.0,
+                   sigma_G=1.0, sigma_K=1.0)
+    tracemalloc.start()
+    try:
+        report = theorem1_budget(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert report.feasible and report.unbounded
+    assert report.budget == math.inf
+    assert math.isfinite(report.margin) and report.margin > 0
+    # The witness sits where the penalty peaks, s* = (-c/lambda - sqrt(omega))/c.
+    c = 1.0 + math.sqrt(7.0 / 3.0)
+    s_star = (c / 5.0 - 0.1) / c
+    assert report.margin == pytest.approx(
+        _best_margin(1.0, 1.0, 0.01, -5.0, 1.0, 1.0, s_star), rel=1e-6)
+    assert theorem5_budget(q).budget == math.inf
 
 
 # -- gamma supremum ---------------------------------------------------------
@@ -225,6 +331,36 @@ def test_max_expm_norms_known_cases():
     two, inf = max_expm_norms([[0.0, 1.0], [-1.0, 0.0]])
     assert two == pytest.approx(1.0, abs=1e-9)
     assert inf == pytest.approx(math.sqrt(2.0), abs=1e-4)
+
+
+def _loop_expm_norms(A, samples=10001):
+    """Reference: the per-sample loop that max_expm_norms replaced."""
+    A = np.asarray(A, dtype=float)
+    eig = np.linalg.eigvals(A)
+    T = 1.0
+    freqs = np.abs(eig.imag)
+    freqs = freqs[freqs > 1e-9]
+    if freqs.size:
+        T = max(T, 2.0 * math.pi / freqs.min())
+    decays = -eig.real[eig.real < -1e-9]
+    if decays.size:
+        T = max(T, 10.0 / decays.min())
+    best2 = bestinf = 0.0
+    for s in np.linspace(0.0, T, samples):
+        E = expm(A, s)
+        best2 = max(best2, max_singular_value(E))
+        bestinf = max(bestinf, float(np.abs(E).sum(axis=1).max()))
+    return best2, bestinf
+
+
+@pytest.mark.parametrize("A", [
+    [[0.0]],
+    [[0.0, 1.0], [-1.0, 0.0]],
+    [[-1.0, 1.0], [0.0, -1.0]],
+    [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.5], [0.0, 0.0, -0.5]],
+], ids=["zero", "rotation", "jordan_decay", "mixed_3x3"])
+def test_max_expm_norms_batched_equals_loop(A):
+    assert max_expm_norms(A) == _loop_expm_norms(A)
 
 
 def test_delta_kappa_vanishes_for_integrators():

@@ -1,11 +1,14 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
+from asynclab import bounds
 from asynclab.cli import main
-from asynclab.scenarios import builtin_example
+from asynclab.scenarios import ScenarioFormatError, builtin_example, parse_scenario
+from asynclab.sim import ScenarioError
 
 
 @pytest.fixture
@@ -85,6 +88,42 @@ def test_bound_theorem1_query_route(tmp_path, capsys):
     assert json.loads(out)["feasible"]
 
 
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_bound_unbounded_is_null_in_strict_json(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({
+        "query": {"mu": 1.0, "eps": 1.0, "omega": 0.01, "lambda_As": -5.0,
+                  "sigma_A": 1.0, "sigma_G": 1.0, "sigma_K": 1.0}}))
+    for theorem in ("1", "5"):
+        code, out = run_cli(capsys, "bound", str(path), "--theorem", theorem)
+        assert code == 0
+        report = _strict_loads(out)
+        assert report["budget"] is None and report["unbounded"] is True
+        assert report["feasible"] is True and math.isfinite(report["margin"])
+    assert report["details"]["total_lag_budget"] is None
+
+
+@pytest.mark.parametrize("command", ["bound", "reproduce"])
+def test_theorem4_norms_sampled_once(ex_file, capsys, monkeypatch, command):
+    calls = []
+    sampled = bounds.max_expm_norms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sampled(*args, **kwargs)
+    monkeypatch.setattr(bounds, "max_expm_norms", counted)
+    argv = (["bound", ex_file(3), "--theorem", "4"] if command == "bound"
+            else ["reproduce", "--example", "3"])
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_bound_infeasible_exits_3(tmp_path, capsys):
     path = tmp_path / "q.json"
     path.write_text(json.dumps({
@@ -158,6 +197,25 @@ def test_run_schema_error_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"mode": "broadcast"}))
     code, _ = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "o"))
     assert code == 2
+
+
+@pytest.mark.parametrize("example, overrides", [
+    (2, {"x0": [0.1, math.nan, 0.3, 0.4, 0.5]}),
+    (2, {"horizon": math.inf}),
+    (2, {"horizon": math.nan}),
+    (3, {"startup": "first_sample"}),
+], ids=["nan_x0", "inf_horizon", "nan_horizon", "first_sample_with_trigger"])
+def test_run_bad_scenario_exits_2(ex_file, tmp_path, capsys, example, overrides):
+    doc, _ = builtin_example(example)
+    doc.update(overrides)
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(doc)
+    assert isinstance(info.value.__cause__, ScenarioError)
+    # json writes and reads NaN and Infinity literals, so the file parses.
+    code, out = run_cli(capsys, "run", ex_file(example, **overrides),
+                        "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "error" in json.loads(out)
 
 
 def test_run_runtime_error_exits_4(ex_file, tmp_path, capsys):

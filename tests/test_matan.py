@@ -36,6 +36,19 @@ def test_expm_rotation():
     assert np.allclose(expm(A, t), expected, atol=1e-12)
 
 
+def test_expm_stack_over_times():
+    A = np.array([[0.0, 1.0], [-1.0, -0.3]])
+    t = np.linspace(0.0, 2.0, 7)
+    stack = expm(A, t)
+    assert stack.shape == (7, 2, 2)
+    for k, tk in enumerate(t):
+        assert np.array_equal(stack[k], expm(A, tk))
+    with pytest.raises(ValueError):
+        expm(A, np.array([0.0, np.inf]))
+    with pytest.raises(DimensionError):
+        expm(A, np.zeros((2, 2)))
+
+
 def test_expm_identity_at_zero():
     A = np.random.default_rng(0).normal(size=(4, 4))
     assert np.allclose(expm(A, 0.0), np.eye(4))

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -415,8 +416,10 @@ def test_event_budget_checked_before_the_loop(monkeypatch):
 
 def test_divergence_raises_with_time():
     s = _example(2, 8.0, gain=[[200.0]])
-    with pytest.raises(DivergenceError, match=r"at t = 5\.\d+") as info:
-        run(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's overflow warnings included
+        with pytest.raises(DivergenceError, match=r"at t = 5\.\d+") as info:
+            run(s)
     assert isinstance(info.value, RuntimeError)
 
 
