@@ -203,16 +203,29 @@ def _budget_report(mu_eff, eps, omega, lam_As, sigma_A, coupling,
             details=dict(extra_details or {}))
     budget, lag = _find_budget(mu_eff, eps, omega, lam_As, sigma_A, coupling)
     unbounded = budget == math.inf
-    alpha, beta = _best_witness(omega, sigma_A, coupling, max(lag, 1e-12))
-    margin = _margin_at(mu_eff, eps, omega, lam_As, sigma_A, coupling,
-                        lag, alpha, beta)
-    # The clamped witness can lose ~1e-9 of margin relative to the exact
-    # limit optimum; shave the budget until the witness itself certifies it.
-    while not unbounded and margin <= 0 and budget > 0:
-        budget *= 1.0 - 1e-7
-        alpha, beta = _best_witness(omega, sigma_A, coupling, max(budget, 1e-12))
-        margin = _margin_at(mu_eff, eps, omega, lam_As, sigma_A, coupling,
-                            budget, alpha, beta)
+
+    def certified(s):
+        """(margin, alpha, beta) of the closed-form witness at lag s."""
+        alpha, beta = _best_witness(omega, sigma_A, coupling, max(s, 1e-12))
+        return (_margin_at(mu_eff, eps, omega, lam_As, sigma_A, coupling,
+                           s, alpha, beta), alpha, beta)
+
+    margin, alpha, beta = certified(lag)
+    if not unbounded and margin <= 0 and budget > 0:
+        # The clamped witness can lose a little margin against the exact
+        # optimum near the root. Step down from the root, doubling the step,
+        # to a lag the witness certifies; then bisect to adjacent floats
+        # between it and the last lag it does not certify.
+        hi, step = budget, 1e-7
+        while (lo := budget * max(1.0 - step, 0.0)) > 0 and certified(lo)[0] <= 0:
+            hi, step = lo, 2.0 * step
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if certified(mid)[0] > 0:
+                lo = mid
+            else:
+                hi = mid
+        budget = lo
+        margin, alpha, beta = certified(lo)
     witness = SearchParams(alpha=alpha, beta=beta, gamma=gamma, eta=eta)
     diag = (f"unbounded: the margin stays positive for every lag; it is "
             f"smallest at lag {lag:.6g}, where the witness is given" + note) \

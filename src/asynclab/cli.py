@@ -12,7 +12,6 @@ Exit codes (stable contract):
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -37,6 +36,9 @@ EXIT_GOLDEN = 5
 
 # Failures of a simulation run, reported with EXIT_RUNTIME.
 RUN_ERRORS = (ScheduleError, ScenarioError, RuntimeError, OverflowError)
+# Trace rows or events per encoded block of an export file: one write each,
+# and memory that stays flat in the length of the run.
+EXPORT_BLOCK = 512
 
 
 def thread_cap() -> int:
@@ -232,31 +234,35 @@ def _budget_warning(doc, s):
 
 
 def write_trace_csv(trace, path):
+    """CSV of the trace: t, the states, delta_sq and V when present; values
+    as repr of the float, CRLF line ends. Rows are encoded and
+    written EXPORT_BLOCK at a time."""
     s = trace.scenario
-    units = s.n_units
-    N = s.model.N
-    header = ["t"] + [f"x_{i}_{j}" for i in range(1, units + 1)
-                      for j in range(1, N + 1)] + ["delta_sq"]
-    with_v = trace.lyapunov is not None
-    if with_v:
+    header = ["t"] + [f"x_{i}_{j}" for i in range(1, s.n_units + 1)
+                      for j in range(1, s.model.N + 1)] + ["delta_sq"]
+    cols = [trace.t[:, None], trace.states, trace.delta_sq[:, None]]
+    if trace.lyapunov is not None:
         header.append("V")
+        cols.append(trace.lyapunov[:, None])
+    line = ",".join(["%r"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for k in range(len(trace.t)):
-            row = [repr(float(trace.t[k]))]
-            row += [repr(float(v)) for v in trace.states[k]]
-            row.append(repr(float(trace.delta_sq[k])))
-            if with_v:
-                row.append(repr(float(trace.lyapunov[k])))
-            w.writerow(row)
+        f.write(",".join(header) + "\r\n")
+        for i in range(0, len(trace.t), EXPORT_BLOCK):
+            block = np.hstack([c[i:i + EXPORT_BLOCK] for c in cols])
+            f.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_event_log(trace, path):
+    """JSON list of the events as {"t", "channel", "kind"} objects, encoded
+    EXPORT_BLOCK events at a time."""
+    events = trace.events
     with open(path, "w") as f:
-        json.dump([{"t": t, "channel": ch, "kind": kind}
-                   for t, ch, kind in trace.events], f)
-        f.write("\n")
+        f.write("[")
+        for i in range(0, len(events), EXPORT_BLOCK):
+            block = json.dumps([{"t": t, "channel": ch, "kind": kind}
+                                for t, ch, kind in events[i:i + EXPORT_BLOCK]])
+            f.write((", " if i else "") + block[1:-1])
+        f.write("]\n")
 
 
 def _run_one(doc, s, outdir, tag=""):

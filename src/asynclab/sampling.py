@@ -222,16 +222,20 @@ def event_trigger_check(current, held, omega: float, cap: float | None = None,
     Quadratic form: ||current - held||^2 >= omega ||held||^2.
     Norm form:      ||current - held|| >= sqrt(omega)/(1+sqrt(omega)) ||current||.
     A cap turns the threshold into min(sqrt(omega) ||held||, cap).
+
+    current and held are 1-d; each norm is sqrt(x . x), which is how
+    np.linalg.norm computes it, without that function's call overhead.
     """
     if omega < 0:
         raise ValueError("omega must be nonnegative")
     current = np.asarray(current, dtype=float)
     held = np.asarray(held, dtype=float)
-    dev = float(np.linalg.norm(current - held))
+    d = current - held
+    dev = math.sqrt(d.dot(d))
     if norm_form:
         r = math.sqrt(omega) / (1.0 + math.sqrt(omega))
-        return dev >= r * float(np.linalg.norm(current))
-    threshold = math.sqrt(omega) * float(np.linalg.norm(held))
+        return dev >= r * math.sqrt(current.dot(current))
+    threshold = math.sqrt(omega) * math.sqrt(held.dot(held))
     if cap is not None:
         threshold = min(threshold, cap)
     return dev >= threshold if cap is None else dev > threshold

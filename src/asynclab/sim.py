@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 import scipy.linalg as sla
@@ -218,7 +220,10 @@ class Propagator:
 
 
 class _Engine:
-    """State, holds and trace rows shared by all simulation modes."""
+    """State, holds and trace rows shared by all simulation modes.
+
+    The event loops record only (t, X) per row; settle() derives every other
+    column in vectorized passes over the recorded rows."""
 
     def __init__(self, s: Scenario, rows: int):
         self.s = s
@@ -229,7 +234,9 @@ class _Engine:
         self.X = s.x0.reshape(self.units, N).copy()
         self.prop = Propagator(s.model.A)
         self.consensus_mode = s.mode in ("relative_edges", "broadcast")
-        self.kappa = self.X.mean(axis=0) if self.consensus_mode else None
+        # The coupling sums to zero, so the mean evolves on its own:
+        # kappa(t) = e^{At} kappa0.
+        self.kappa0 = self.X.mean(axis=0) if self.consensus_mode else None
         self.algebra = build_algebra(s.graph) if self.consensus_mode else None
         if s.mode == "relative_edges":
             self.couple = self.algebra.incidence           # n x m
@@ -242,26 +249,35 @@ class _Engine:
         self.H_live = np.zeros(self.channels, dtype=bool)
         self.drive = np.zeros((self.units, N))
         self.t = 0.0
-        self.last_drive_change = 0.0
         self.events = []
-        self.drive_changes = [(0.0, self.drive.copy())]
+        self.drive_changes = [(0.0, self.drive)]
         self.held_changes = []
-        # preallocated trace columns; rows[:n_rows] are filled
-        self.n_rows = 0
+        # preallocated trace columns: rows[:n_rows] hold (t, X), and
+        # rows[:n_settled] also the columns that settle() derives
+        self.n_rows = self.n_settled = 0
         self.row_t = np.empty(rows)
-        self.row_x = np.empty((rows, self.units * N))
+        self.row_x = np.empty((rows, self.units, N))
         self.row_dsq = np.empty(rows)
-        self.row_tilde = np.empty(rows)
+        self.lyapunov_P = s.lyapunov_P if s.mode == "relative_edges" else None
         self.track_tilde = s.mode == "broadcast"
+        # columns a mode does not use stay empty
+        self.row_tilde = np.empty(rows if self.track_tilde else 0)
+        self.row_v = np.empty(rows if self.lyapunov_P is not None else 0)
         if self.track_tilde:
-            self.delta_tilde = self.X - self.kappa
+            # disagreements held since the last deliveries, and the
+            # deliveries not yet settled: (time, channel, sampled value,
+            # sampling time)
+            self.delta_tilde = self.X - self.kappa0
+            self.tilde_sq = float((self.delta_tilde ** 2).sum())
+            self.deliveries = []
         self.err_rngs = [channel_rng(s.seed, ch, stream=1)
                          for ch in range(self.channels)]
-        d0 = self._delta()
+        d0 = self.X - self.kappa0 if self.consensus_mode else self.X
         self.consensus_tol = (s.consensus_tol if s.consensus_tol is not None
                               else 1e-8 * (1.0 + float(np.sum(d0 * d0))))
         self.below_since = None
         self.consensus_time = None
+        self.stopped = False    # cut at the consensus row (stop_at_consensus)
         self.snapshot()     # the row at t = 0; holds set at t = 0 do not move it
 
     # -- state ------------------------------------------------------------
@@ -271,8 +287,6 @@ class _Engine:
             if expA is None:
                 expA, phi = self.prop.pair(t_new - self.t)
             self.X = self.X @ expA.T + self.drive @ phi.T
-            if self.kappa is not None:
-                self.kappa = expA @ self.kappa
             self.t = t_new
 
     def state_at(self, t_query):
@@ -304,8 +318,7 @@ class _Engine:
             # restrict the Laplacian to edges with both holds live.
             couple = self._masked_laplacian()
         self.drive = -(couple @ (H @ self.KT))
-        self.last_drive_change = self.t
-        self.drive_changes.append((self.t, self.drive.copy()))
+        self.drive_changes.append((self.t, self.drive))
 
     def _masked_laplacian(self):
         inc = self.algebra.incidence
@@ -313,9 +326,11 @@ class _Engine:
         return (inc * live) @ inc.T
 
     def set_hold(self, ch, value):
+        """Hold value on channel ch; value is kept, not copied, so callers
+        pass an array that nothing changes afterwards."""
         self.H[ch] = value
         self.H_live[ch] = True
-        self.held_changes.append((self.t, ch, np.array(value, copy=True)))
+        self.held_changes.append((self.t, ch, value))
         self.recompute_drive()
 
     # -- measurement ------------------------------------------------------
@@ -332,9 +347,6 @@ class _Engine:
         return log_quantize(value, em.quant_level)
 
     # -- trace rows -------------------------------------------------------
-    def _delta(self):
-        return self.X - self.kappa if self.consensus_mode else self.X
-
     def snapshot(self):
         """Record the current state as a trace row. At the time of the last
         row, refresh that row instead, so the post-event state wins."""
@@ -342,48 +354,102 @@ class _Engine:
         if r < 0 or self.row_t[r] != self.t:
             r += 1
             if r == len(self.row_t):
-                self.row_t, self.row_x, self.row_dsq, self.row_tilde = (
+                self.row_t, self.row_x, self.row_dsq, self.row_tilde, self.row_v = (
                     np.concatenate([c, np.empty_like(c)]) for c in
-                    (self.row_t, self.row_x, self.row_dsq, self.row_tilde))
+                    (self.row_t, self.row_x, self.row_dsq, self.row_tilde, self.row_v))
             self.n_rows += 1
             self.row_t[r] = self.t
-        d = self._delta()
-        dsq = float((d * d).sum())
-        if not math.isfinite(dsq):
-            raise DivergenceError(f"simulation diverged at t = {self.t!r}")
-        self.row_x[r] = self.X.ravel()
-        self.row_dsq[r] = dsq
-        if self.track_tilde:
-            self.row_tilde[r] = float((self.delta_tilde ** 2).sum())
-        self._consensus_watch(dsq)
+        self.row_x[r] = self.X
 
-    def _consensus_watch(self, dsq):
-        if dsq < self.consensus_tol:
-            if self.below_since is None:
-                self.below_since = self.t
-            elif self.consensus_time is None and self.t - self.below_since >= 1.0:
-                self.consensus_time = self.t
-        else:
-            self.below_since = None
-            if self.consensus_time is not None and self.t > self.consensus_time:
-                self.consensus_time = None
+    def settle(self, final=False):
+        """Derive delta_sq, delta_tilde_sq and V for the rows recorded since
+        the last pass, FLOW_CHUNK rows at a time, check that they are finite
+        and run the consensus watch over them. The last row waits for the
+        next pass unless final, since an event at its time may still refresh
+        it. With stop_at_consensus the trace is cut at the consensus row."""
+        end = self.n_rows if final else self.n_rows - 1
+        while self.n_settled < end:
+            sl = slice(self.n_settled, min(end, self.n_settled + FLOW_CHUNK))
+            t, X = self.row_t[sl], self.row_x[sl]
+            if self.consensus_mode:
+                X = X - (self.prop.pairs(t)[0] @ self.kappa0)[:, None, :]
+            dsq = np.sum((X * X).reshape(len(t), -1), axis=1)
+            bad = np.flatnonzero(~np.isfinite(dsq))
+            if len(bad):
+                raise DivergenceError(f"simulation diverged at t = {float(t[bad[0]])!r}")
+            self.row_dsq[sl] = dsq
+            if self.track_tilde:
+                self.row_tilde[sl] = self._tilde_column(t)
+            if self.lyapunov_P is not None:
+                # 1/2 sum over edges of z^T P z, z the relative states
+                Z = self.couple.T @ self.row_x[sl]
+                self.row_v[sl] = 0.5 * np.sum(Z * (Z @ self.lyapunov_P.T), axis=(1, 2))
+            stop = self._consensus_watch(t, dsq < self.consensus_tol)
+            self.n_settled = sl.stop
+            if stop is not None:
+                self._cut(sl.start + stop)
+                return
 
-    def stopped(self) -> bool:
-        return self.s.stop_at_consensus and self.consensus_time is not None
+    def _tilde_column(self, t):
+        """delta_tilde_sq at row times t; the held disagreements change only
+        at deliveries, each to the sampled value minus kappa at sampling."""
+        n = bisect_right(self.deliveries, t[-1], key=itemgetter(0))
+        due, self.deliveries = self.deliveries[:n], self.deliveries[n:]
+        levels = [self.tilde_sq]
+        if due:
+            kappa = self.prop.pairs([d[3] for d in due])[0] @ self.kappa0
+            for (_, ch, value, _), k in zip(due, kappa):
+                self.delta_tilde[ch] = value - k
+                levels.append(float((self.delta_tilde ** 2).sum()))
+            self.tilde_sq = levels[-1]
+        return np.take(levels, np.searchsorted([d[0] for d in due], t, side="right"))
+
+    def _consensus_watch(self, t, below):
+        """Consensus is reached at the first row of a run of rows below the
+        tolerance that lies at least 1 s after the run's first row; a row
+        above the tolerance clears it. Rows are in increasing time order.
+        Returns the index of the consensus row when the run stops there."""
+        k = np.arange(len(t))
+        run_start = np.maximum.accumulate(np.where(below, -1, k)) + 1
+        t0 = t[np.minimum(run_start, len(t) - 1)]
+        if self.below_since is not None:
+            t0 = np.where(run_start == 0, self.below_since, t0)
+        hit = below & (t - t0 >= 1.0)
+        new = np.flatnonzero(hit & ~np.append(self.consensus_time is not None, hit[:-1]))
+        if self.s.stop_at_consensus and len(new):
+            self.consensus_time = float(t[new[0]])
+            return int(new[0])
+        self.below_since = float(t0[-1]) if below[-1] else None
+        if not hit[-1]:
+            self.consensus_time = None
+        elif len(new) and new[-1] >= run_start[-1]:
+            self.consensus_time = float(t[new[-1]])
+
+    def _cut(self, r):
+        """End the trace at row r: drop later rows and the changes after it."""
+        tc = self.row_t[r]
+        self.n_rows = self.n_settled = r + 1
+        for log in (self.events, self.drive_changes, self.held_changes):
+            del log[bisect_right(log, tc, key=itemgetter(0)):]
+        self.stopped = True
+
+    def raise_if_diverged(self):
+        """Raise DivergenceError if the state or a recorded row is not
+        finite; for failures inside an event loop, whose rows the
+        statistics pass checks only later."""
+        self.snapshot()
+        self.settle(final=True)
 
     def finish(self) -> Trace:
-        if self.t < self.s.horizon and not self.stopped():
+        if self.t < self.s.horizon and not self.stopped:
             self.advance(self.s.horizon)
             self.snapshot()
-        n, P, V = self.n_rows, self.s.lyapunov_P, None
-        states = self.row_x[:n]
-        if self.s.mode == "relative_edges" and P is not None:
-            V = np.empty(n)     # 1/2 sum over edges of z^T P z, z the relative states
-            for sl in _chunks(n):
-                Z = self.couple.T @ states[sl].reshape(-1, self.units, self.N)
-                V[sl] = 0.5 * np.sum(Z * (Z @ P.T), axis=(1, 2))
-        return Trace(scenario=self.s, t=self.row_t[:n], states=states,
-                     delta_sq=self.row_dsq[:n], lyapunov=V,
+        self.settle(final=True)
+        n = self.n_rows
+        return Trace(scenario=self.s, t=self.row_t[:n],
+                     states=self.row_x[:n].reshape(n, -1),
+                     delta_sq=self.row_dsq[:n],
+                     lyapunov=self.row_v[:n] if self.lyapunov_P is not None else None,
                      delta_tilde_sq=self.row_tilde[:n] if self.track_tilde else None,
                      events=self.events, drive_changes=self.drive_changes,
                      held_changes=self.held_changes, consensus_time=self.consensus_time)
@@ -461,7 +527,7 @@ def run(s: Scenario) -> Trace:
     # included; dts[i] is the step into entry i, zero at a repeated time.
     dts = np.diff(times, prepend=0.0)
     eng = _Engine(s, int(np.count_nonzero(dts)) + 2)
-    queue = [deque() for _ in range(eng.channels)]   # (k, measured, tilde)
+    queue = [deque() for _ in range(eng.channels)]   # (k, measured, sampled, time)
     last_sent = [None] * eng.channels
 
     def fire(ch, value):
@@ -472,39 +538,42 @@ def run(s: Scenario) -> Trace:
         if last_sent[ch] is not None and not event_trigger_check(
                 value, last_sent[ch], em.omega, cap=em.cap):
             return False
-        last_sent[ch] = np.array(value, copy=True)
+        last_sent[ch] = value
         return True
 
     if s.startup == "first_sample":
         for ch in range(eng.channels):
             eng.set_hold(ch, eng.read_channel(ch))
-    for sl in _chunks(len(times)):
-        expA, phi = eng.prop.pairs(dts[sl])
-        for j, (te, ch, order) in enumerate(zip(times[sl].tolist(), chans[sl].tolist(),
-                                                orders[sl].tolist())):
-            if te != eng.t:
-                eng.advance(te, expA[j], phi[j])
-            if ch >= 0 and order & 1:
-                q = queue[ch]
-                if not q or q[0][0] != order >> 1:
-                    continue        # its sample did not fire
-                _, value, tilde = q.popleft()
-                eng.set_hold(ch, value)
-                if eng.track_tilde:
-                    eng.delta_tilde[ch] = tilde
-                eng.events.append((te, ch, "deliver"))
-            elif ch >= 0:
-                value = eng.read_channel(ch)
-                if fire(ch, value):
-                    # disagreement at the sampling instant, held from delivery on
-                    tilde = eng.X[ch] - eng.kappa if eng.track_tilde else None
-                    queue[ch].append((order >> 1, eng.measure(ch, value), tilde))
-                    if triggered:
-                        eng.events.append((te, ch, "update"))
-                eng.events.append((te, ch, "sample"))
-            eng.snapshot()
-            if eng.stopped():
-                return eng.finish()
+    try:
+        for sl in _chunks(len(times)):
+            expA, phi = eng.prop.pairs(dts[sl])
+            for j, (te, ch, order) in enumerate(zip(times[sl].tolist(), chans[sl].tolist(),
+                                                    orders[sl].tolist())):
+                if te != eng.t:
+                    eng.advance(te, expA[j], phi[j])
+                if ch >= 0 and order & 1:
+                    q = queue[ch]
+                    if not q or q[0][0] != order >> 1:
+                        continue        # its sample did not fire
+                    _, value, sampled, t_sampled = q.popleft()
+                    eng.set_hold(ch, value)
+                    if eng.track_tilde:
+                        eng.deliveries.append((te, ch, sampled, t_sampled))
+                    eng.events.append((te, ch, "deliver"))
+                elif ch >= 0:
+                    value = eng.read_channel(ch)
+                    if fire(ch, value):
+                        queue[ch].append((order >> 1, eng.measure(ch, value), value, te))
+                        if triggered:
+                            eng.events.append((te, ch, "update"))
+                    eng.events.append((te, ch, "sample"))
+                eng.snapshot()
+            eng.settle()
+            if eng.stopped:
+                break
+    except (OverflowError, ValueError):
+        eng.raise_if_diverged()
+        raise
     return eng.finish()
 
 
@@ -539,7 +608,6 @@ def run_event_triggered(s: Scenario) -> Trace:
     # each channel's events lie at least dt_check apart
     _check_budget(s.snapshot_points + 1
                   + eng.channels * (math.ceil(s.horizon / dt_check) + 2))
-    last_update = [0.0] * eng.channels
     # (time, rank, channel) is unique: one pending event per channel
     heap = [(tg, RANK_GRID, -1)
             for tg in np.linspace(0.0, s.horizon, s.snapshot_points + 1)]
@@ -554,36 +622,44 @@ def run_event_triggered(s: Scenario) -> Trace:
         return event_trigger_check(eng.read_channel(ch, X), eng.H[ch],
                                    em.omega, cap=em.cap)
 
-    while heap:
-        te, rank, ch = heapq.heappop(heap)
-        if te > s.horizon:
-            break
-        eng.advance(te)
-        if rank in (RANK_DWELL_EXPIRE, RANK_TRIGGER_CHECK):
-            if triggered(ch, eng.X):
-                if rank == RANK_TRIGGER_CHECK:
-                    # refine the crossing inside the constant-drive window
-                    lo = max(te - dt_check, eng.last_drive_change,
-                             last_update[ch] + dwell)
-                    hi = te
-                    if lo < hi and not triggered(ch, eng.state_at(lo)):
-                        while hi - lo > TRIGGER_REFINE_TOL:
-                            mid = 0.5 * (lo + hi)
-                            if triggered(ch, eng.state_at(mid)):
-                                hi = mid
-                            else:
-                                lo = mid
-                        te = hi
-                    else:
-                        te = lo if lo < hi else te
-                    eng.advance(te)
-                eng.set_hold(ch, eng.read_channel(ch))
-                eng.events.append((te, ch, "update"))
-                last_update[ch] = te
-                heapq.heappush(heap, (te + dwell, RANK_DWELL_EXPIRE, ch))
-            else:
-                heapq.heappush(heap, (te + dt_check, RANK_TRIGGER_CHECK, ch))
-        eng.snapshot()
+    try:
+        while heap and not eng.stopped:
+            te, rank, ch = heapq.heappop(heap)
+            if te > s.horizon:
+                break
+            eng.advance(te)
+            if rank in (RANK_DWELL_EXPIRE, RANK_TRIGGER_CHECK):
+                if triggered(ch, eng.X):
+                    if rank == RANK_TRIGGER_CHECK:
+                        # Refine the crossing, but not to before the last
+                        # row: every event up to it has been processed. The
+                        # last drive change and the end of this channel's
+                        # dwell window each have a row, so the bracket lies
+                        # inside the constant-drive window.
+                        lo = max(te - dt_check, float(eng.row_t[eng.n_rows - 1]))
+                        hi = te
+                        if lo < hi and not triggered(ch, eng.state_at(lo)):
+                            while hi - lo > TRIGGER_REFINE_TOL:
+                                mid = 0.5 * (lo + hi)
+                                if triggered(ch, eng.state_at(mid)):
+                                    hi = mid
+                                else:
+                                    lo = mid
+                            te = hi
+                        else:
+                            te = lo if lo < hi else te
+                        eng.advance(te)
+                    eng.set_hold(ch, eng.read_channel(ch))
+                    eng.events.append((te, ch, "update"))
+                    heapq.heappush(heap, (te + dwell, RANK_DWELL_EXPIRE, ch))
+                else:
+                    heapq.heappush(heap, (te + dt_check, RANK_TRIGGER_CHECK, ch))
+            eng.snapshot()
+            if eng.n_rows - eng.n_settled > FLOW_CHUNK:
+                eng.settle()
+    except (OverflowError, ValueError):
+        eng.raise_if_diverged()
+        raise
     return eng.finish()
 
 

@@ -7,8 +7,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from asynclab.bounds import (BoundQuery, InfeasibleError, SearchParams,
-                             SetMembershipError, _best_margin, _find_budget,
-                             _gamma_sup, _margin_at, corollary1_budget,
+                             SetMembershipError, _best_margin, _best_witness,
+                             _find_budget, _gamma_sup, _margin_at, corollary1_budget,
                              corollary2_budget, delta_kappa, marginally_stable,
                              max_expm_norms, theorem1_budget, theorem1_margin,
                              theorem2_budget, theorem3_budget,
@@ -195,6 +195,26 @@ def test_budget_beyond_the_old_scan_limit_is_finite():
     assert report.budget == pytest.approx(1624.14, abs=0.01)
     assert report.budget <= closed_form
     assert theorem1_margin(replace(q, h=report.budget), report.witness) > 0
+
+
+def test_budget_is_the_largest_lag_its_witness_certifies():
+    # The clamped witness does not certify the exact root of this query; the
+    # report bisects down to the last float whose own witness does.
+    q = BoundQuery(mu=2.473662513915308, eps=0.2826194151384146,
+                   omega=0.19521653405696718, sigma_G=0.0010144051820021316,
+                   sigma_K=1.0)
+    args = (q.mu, q.eps, q.omega, 0.0, 0.0, q.sigma_G)
+
+    def certified(s):
+        return _margin_at(*args, s, *_best_witness(q.omega, 0.0, q.sigma_G, s))
+
+    root = _find_budget(*args)[0]
+    assert certified(root) <= 0
+    report = theorem1_budget(q)
+    assert 1624.13855 <= report.budget < root
+    assert theorem1_margin(replace(q, h=report.budget), report.witness) > 0
+    assert report.margin == certified(report.budget) > 0
+    assert certified(math.nextafter(report.budget, math.inf)) <= 0
 
 
 def test_unbounded_budget_is_infinite_with_worst_lag_witness():

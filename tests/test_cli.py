@@ -1,14 +1,16 @@
 import csv
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from asynclab import bounds
-from asynclab.cli import main
+from asynclab.cli import EXPORT_BLOCK, main, write_event_log, write_trace_csv
 from asynclab.scenarios import ScenarioFormatError, builtin_example, parse_scenario
-from asynclab.sim import ScenarioError
+from asynclab.sim import ScenarioError, run
 
 
 @pytest.fixture
@@ -275,3 +277,87 @@ def test_reproduce_divergence_exits_4_without_trace(tmp_path, capsys, monkeypatc
     assert code == 4
     assert "diverged" in out
     assert not (tmp_path / "example2.csv").exists()
+
+
+# -- export files ---------------------------------------------------------------
+# The row-at-a-time writers that the block encoders replaced; the files must
+# stay byte for byte the same.
+
+def _reference_trace_csv(trace, path):
+    s = trace.scenario
+    header = ["t"] + [f"x_{i}_{j}" for i in range(1, s.n_units + 1)
+                      for j in range(1, s.model.N + 1)] + ["delta_sq"]
+    with_v = trace.lyapunov is not None
+    if with_v:
+        header.append("V")
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for k in range(len(trace.t)):
+            row = [repr(float(trace.t[k]))]
+            row += [repr(float(v)) for v in trace.states[k]]
+            row.append(repr(float(trace.delta_sq[k])))
+            if with_v:
+                row.append(repr(float(trace.lyapunov[k])))
+            w.writerow(row)
+
+
+def _reference_event_log(trace, path):
+    with open(path, "w") as f:
+        json.dump([{"t": t, "channel": ch, "kind": kind}
+                   for t, ch, kind in trace.events], f)
+        f.write("\n")
+
+
+def _example_trace(number, horizon):
+    doc, _ = builtin_example(number, seed=1)
+    doc["horizon"] = horizon
+    return run(parse_scenario(doc))
+
+
+@pytest.fixture(scope="module")
+def ex1_trace():
+    return _example_trace(1, 10.0)      # ~12k rows and events, with V
+
+
+def _head(trace, n):
+    """The first n rows and events of a trace without V."""
+    return replace(trace, t=trace.t[:n], states=trace.states[:n],
+                   delta_sq=trace.delta_sq[:n], events=trace.events[:n])
+
+
+def _export_cases(ex1_trace):
+    ex3 = _example_trace(3, 5.0)
+    return {
+        "ex1": ex1_trace,
+        "ex3": ex3,
+        "zero_horizon": _example_trace(2, 0.0),
+        "no_events": replace(ex3, events=[]),
+        "two_blocks": _head(ex3, 2 * EXPORT_BLOCK),
+        "one_past_a_block": _head(ex3, EXPORT_BLOCK + 1),
+    }
+
+
+def test_export_files_match_the_row_writers(ex1_trace, tmp_path):
+    cases = _export_cases(ex1_trace)
+    assert cases["ex1"].lyapunov is not None and cases["ex3"].lyapunov is None
+    assert len(cases["zero_horizon"].t) == 1 and cases["zero_horizon"].events == []
+    for name, trace in cases.items():
+        for write, reference in ((write_trace_csv, _reference_trace_csv),
+                                 (write_event_log, _reference_event_log)):
+            got, want = tmp_path / f"{name}.got", tmp_path / f"{name}.want"
+            write(trace, got)
+            reference(trace, want)
+            assert got.read_bytes() == want.read_bytes(), (name, write.__name__)
+
+
+@pytest.mark.parametrize("write", [write_trace_csv, write_event_log])
+def test_export_memory_stays_flat(ex1_trace, tmp_path, write):
+    assert len(ex1_trace.t) > 20 * EXPORT_BLOCK
+    tracemalloc.start()
+    try:
+        write(ex1_trace, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

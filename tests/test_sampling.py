@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,37 @@ def test_event_trigger_check_forms():
     assert event_trigger_check([10.5], [10.0], 0.09, cap=0.08)
     # norm form
     assert event_trigger_check([2.0], [1.0], 1.0, norm_form=True)
+
+
+def _norm_trigger_check(current, held, omega, cap=None, norm_form=False):
+    """event_trigger_check as it was written with np.linalg.norm."""
+    current = np.asarray(current, dtype=float)
+    held = np.asarray(held, dtype=float)
+    dev = float(np.linalg.norm(current - held))
+    if norm_form:
+        r = math.sqrt(omega) / (1.0 + math.sqrt(omega))
+        return dev >= r * float(np.linalg.norm(current))
+    threshold = math.sqrt(omega) * float(np.linalg.norm(held))
+    if cap is not None:
+        threshold = min(threshold, cap)
+    return dev >= threshold if cap is None else dev > threshold
+
+
+def test_event_trigger_check_matches_linalg_norm():
+    rng = np.random.default_rng(8)
+    fired = 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 6))
+        held = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        current = held + rng.normal(size=n) * 10.0 ** rng.uniform(-4, 1)
+        omega = float(rng.uniform(0.0, 0.2))
+        for v in (held, current - held):
+            assert math.sqrt(v.dot(v)) == np.linalg.norm(v)
+        for kw in ({}, {"cap": float(rng.uniform(0.01, 1.0))}, {"norm_form": True}):
+            got = event_trigger_check(current, held, omega, **kw)
+            assert got == _norm_trigger_check(current, held, omega, **kw)
+            fired += got
+    assert 1000 < fired < 5000       # both outcomes are exercised
 
 
 def test_saturation_scale():

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 
 from asynclab import sim
@@ -301,8 +302,9 @@ def test_scenario_validation_errors():
 
 # -- engine equivalence -------------------------------------------------------
 # Reference outputs of the heap-driven engine that preceded the precomputed
-# timeline: a digest of the event list, event counts by kind, trace rows and
-# the final state, for each scenario below (seed 1 throughout).
+# timeline, except where noted: a digest of the event list, event counts by
+# kind, trace rows and the final state, for each scenario below (seed 1
+# throughout).
 
 def _example(number, horizon, **overrides):
     doc, _ = builtin_example(number, seed=1)
@@ -372,9 +374,13 @@ EQUIVALENCE = {
     "coincident": ("33ac3830f99b2c47", {"sample": 60, "deliver": 60}, 45,
                    [-0.28876237477222305, -0.4533781773392313, 0.15405657587346375,
                     -0.031653715520007994, -0.4293862147319437, -0.02663225495459371]),
-    "event_triggered": ("3dce5ba94f0fa579", {"update": 36}, 13028,
-                        [-0.06323685046863167, -0.08369390696971113,
-                         0.09146085208056842, -0.11430459235028347]),
+    # Re-recorded once the crossing refinement stopped moving the clock back
+    # past recorded rows: the heap engine's reference (3dce5ba94f0fa579,
+    # 13,028 rows) has 19 rows out of time order, and most updates now come
+    # at most one trigger-check step (dwell / 50) later.
+    "event_triggered": ("9510dc2677dc5ccc", {"update": 36}, 13010,
+                        [-0.06323269649727528, -0.08369200411058406,
+                         0.09145669810924861, -0.11430649520941537]),
 }
 
 
@@ -433,3 +439,93 @@ def test_lyapunov_column_matches_per_row_formula():
         expected.append(0.5 * np.sum(Z * (Z @ s.lyapunov_P.T)))
     assert len(tr.t) > sim.FLOW_CHUNK
     assert np.allclose(tr.lyapunov, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_abstract_trigger_rows_in_time_order():
+    # The crossing refinement may not move the clock back past a recorded
+    # row: it used to, 19 times in this run, by up to 3.4e-4 s.
+    s = Scenario(mode="event_triggered", model=OSCILLATOR,
+                 gain=0.4 * np.eye(2), x0=[1.0, 0.0, -1.0, 0.2], horizon=3.0,
+                 seed=1, coupling=np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                 error_model=ErrorModel.event_trigger(0.04, dwell=0.02))
+    tr = run(s)
+    assert np.all(np.diff(tr.t) > 0)
+    times = [t for t, _, _ in tr.events]
+    assert times == sorted(times)
+    assert min_update_gap(tr) >= 0.02 - 1e-9
+    expected = ivp_oracle_final_state(tr)
+    assert np.linalg.norm(tr.final_state - expected) < 1e-8
+
+
+# -- statistics derived after the event loop -----------------------------------
+
+def _delta_sq_formula(tr):
+    """Per-row disagreement with kappa(t) = e^{At} kappa0 from scipy's expm."""
+    s = tr.scenario
+    X = tr.states.reshape(len(tr.t), s.n_units, s.model.N)
+    kappa = sla.expm(s.model.A * tr.t[:, None, None]) @ X[0].mean(axis=0)
+    D = X - kappa[:, None, :]
+    return np.sum(D * D, axis=(1, 2))
+
+
+def test_delta_sq_follows_the_closed_form_mean():
+    doc, _ = builtin_example(1, seed=1)
+    ex1 = run(parse_scenario(doc))
+    assert ex1.consensus_time == 14.07443163351406
+    assert len(ex1.t) > sim.FLOW_CHUNK
+    for tr in (ex1, run(_example(3, 5.0))):
+        assert np.max(np.abs(tr.delta_sq - _delta_sq_formula(tr))) <= 1e-14
+
+
+def _consensus_reference(t, delta_sq, tol):
+    """The consensus watch row by row: (consensus time, its row or None)."""
+    below_since = consensus = row = None
+    for k, (tk, d) in enumerate(zip(t.tolist(), delta_sq.tolist())):
+        if d < tol:
+            if below_since is None:
+                below_since = tk
+            elif consensus is None and tk - below_since >= 1.0:
+                consensus = tk
+                row = k if row is None else row
+        else:
+            below_since = None
+            if consensus is not None and tk > consensus:
+                consensus = None
+    return consensus, row
+
+
+def test_consensus_watch_across_chunks(monkeypatch):
+    # Example 3 hovers around its error level; tolerances at quantiles of
+    # delta_sq make runs of rows below them start and break many times.
+    monkeypatch.setattr(sim, "FLOW_CHUNK", 97)
+    s = _example(3, 12.0)
+    full = run(s)
+    checked = 0
+    for q in (0.3, 0.6, 0.9, 0.99, 1.0):
+        tol = float(np.quantile(full.delta_sq, q)) * (1.0 + 1e-9)
+        tr = run(replace(s, consensus_tol=tol))
+        consensus, first = _consensus_reference(tr.t, tr.delta_sq, tol)
+        assert tr.consensus_time == consensus
+        if first is None:
+            continue
+        checked += 1
+        cut = run(replace(s, consensus_tol=tol, stop_at_consensus=True))
+        assert cut.consensus_time == tr.t[first] == cut.t[-1]
+        assert len(cut.t) == first + 1
+        assert np.array_equal(cut.states, tr.states[:first + 1])
+        assert np.array_equal(cut.delta_sq, tr.delta_sq[:first + 1])
+        n = sum(t <= cut.t[-1] for t, _, _ in tr.events)
+        assert cut.events == tr.events[:n]
+        assert all(t <= cut.t[-1] for t, _ in cut.drive_changes)
+    assert checked >= 2
+
+
+def test_divergence_found_when_the_loop_fails_first():
+    # A saturated hold of an infinite state raises OverflowError before the
+    # statistics pass sees the row; the run still reports the divergence.
+    s = Scenario(mode="saturated", model=LtiModel(A=[[40.0]], B=[[1.0]]),
+                 gain=np.array([[0.5]]), x0=[1.0, -0.5], horizon=20.0,
+                 coupling=np.array([[1.0, -1.0], [-1.0, 1.0]]), saturation=1.0,
+                 schedule=ScheduleParams(0.05, 0.1, 0.04), seed=3)
+    with pytest.raises(DivergenceError, match=r"at t = \d"):
+        run(s)
