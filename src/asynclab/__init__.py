@@ -9,9 +9,8 @@ design from Lyapunov stability conditions.
 from .bounds import (BoundQuery, BoundReport, InfeasibleError, SearchParams,
                      SetMembershipError, corollary1_budget, corollary2_budget,
                      theorem1_budget, theorem1_margin, theorem2_budget,
-                     theorem3_budget, theorem4_best_bound,
-                     theorem4_bound_opt_beta, theorem4_error_bound,
-                     theorem5_budget)
+                     theorem3_budget, theorem4_bound_opt_beta,
+                     theorem4_error_bound, theorem5_budget)
 from .design import (DesignError, GainDesign, design_constants, riccati_design,
                      verify_lyapunov_family)
 from .graphs import (GraphAlgebra, InteractionGraph, InvalidGraphError,
@@ -21,7 +20,6 @@ from .matan import DimensionError, LtiModel, SpectralConstants
 from .sampling import (ChannelSchedule, ErrorModel, ScheduleError,
                        generate_schedule, log_quantize, saturation_scale,
                        validate_schedule)
-from .sim import (Scenario, ScenarioError, ScheduleParams, Trace, metrics,
-                  run, run_event_triggered)
+from .sim import Scenario, ScenarioError, ScheduleParams, Trace, metrics, run
 
 __version__ = "0.1.0"

@@ -458,26 +458,6 @@ def theorem4_report(model: LtiModel, design: GainDesign, algebra: GraphAlgebra,
                         "eta": eta, "theta": theta}}
 
 
-def theorem4_best_bound(model: LtiModel, design: GainDesign,
-                        algebra: GraphAlgebra, h: float, tau: float,
-                        delta_e: float, x0_sum, grid) -> tuple[float, SearchParams]:
-    """Infimum of the error bound over a supplied iterable of SearchParams;
-    entries outside the feasibility set are skipped."""
-    norms = max_expm_norms(model.A)
-    best, best_p = math.inf, None
-    for p in grid:
-        try:
-            val = theorem4_error_bound(model, design, algebra, h, tau, delta_e,
-                                       x0_sum, p, _norms=norms)
-        except SetMembershipError:
-            continue
-        if val < best:
-            best, best_p = val, p
-    if best_p is None:
-        raise SetMembershipError("no grid point lies in the feasibility set")
-    return best, best_p
-
-
 def corollary1_budget(*args, quant_level: float):
     """Budget with a logarithmic quantizer of the given level in place of the
     multiplicative-error bound: omega = (quant_level - 1)^2.
@@ -489,10 +469,7 @@ def corollary1_budget(*args, quant_level: float):
         raise ValueError("quantizing level must exceed 1")
     omega = (quant_level - 1.0) ** 2
     if len(args) == 1 and isinstance(args[0], BoundQuery):
-        q = args[0]
-        return theorem1_budget(BoundQuery(
-            mu=q.mu, eps=q.eps, omega=omega, lambda_As=q.lambda_As,
-            sigma_A=q.sigma_A, sigma_G=q.sigma_G, sigma_K=q.sigma_K))
+        return theorem1_budget(replace(args[0], omega=omega))
     model, design, algebra = args
     return theorem2_budget(model, design, algebra, omega=omega)
 
@@ -500,10 +477,8 @@ def corollary1_budget(*args, quant_level: float):
 def corollary2_budget(q: BoundQuery) -> BoundReport:
     """Maximum dwell time for event-triggered updates without delays; same
     formula as the abstract budget with tau forced to zero, so the reported
-    budget is the dwell time h itself."""
-    report = theorem1_budget(BoundQuery(
-        mu=q.mu, eps=q.eps, omega=q.omega, lambda_As=q.lambda_As,
-        sigma_A=q.sigma_A, sigma_G=q.sigma_G, sigma_K=q.sigma_K))
+    budget is the dwell time h itself (theorem1_budget reads no h or tau)."""
+    report = theorem1_budget(q)
     return replace(report, diagnostics="max dwell time h (tau = 0): "
                                        + report.diagnostics)
 

@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -104,7 +105,7 @@ def cmd_design(args):
 
 # -- bound ------------------------------------------------------------------
 
-def _query_from_doc(doc, tau_in=0.0):
+def _query_from_doc(doc):
     sec = doc.get("query")
     if sec is None:
         raise scenarios.ScenarioFormatError("abstract theorems need a 'query' section")
@@ -114,7 +115,7 @@ def _query_from_doc(doc, tau_in=0.0):
                       sigma_A=float(sec.get("sigma_A", 0.0)),
                       sigma_G=float(sec.get("sigma_G", 0.0)),
                       sigma_K=float(sec.get("sigma_K", 0.0)),
-                      tau_in=float(sec.get("tau_in", tau_in)))
+                      tau_in=float(sec.get("tau_in", 0.0)))
 
 
 def _pipeline_inputs(doc):
@@ -128,69 +129,48 @@ def _pipeline_inputs(doc):
     return model, design, algebra
 
 
-def _omega_from_doc(doc):
-    em = doc.get("error_model", {})
-    if em.get("kind") == "multiplicative":
-        return float(em["omega"])
-    if "omega" in doc:
-        return float(doc["omega"])
-    return 0.0
-
-
-def _quant_level_from_doc(doc):
-    em = doc.get("error_model", {})
-    if em.get("kind") == "log_quantizer":
-        return float(em["level"])
-    if "quant_level" in doc:
-        return float(doc["quant_level"])
-    raise scenarios.ScenarioFormatError("corollary 1 needs a quantizer level")
-
-
-def _bound_theorem4(doc):
-    model, design, algebra = _pipeline_inputs(doc)
-    sec = doc.get("bound_params", {})
-    em = doc.get("error_model", {})
-    h = float(sec.get("h", doc.get("schedule", {}).get("h_max", 0.0)))
-    tau = float(sec.get("tau", doc.get("schedule", {}).get("tau_max", 0.0)))
-    delta_e = float(sec.get("delta_e", em.get("cap", em.get("delta_e", 0.0)) or 0.0))
-    x0 = np.asarray(doc.get("x0", np.zeros(algebra.graph.n * model.N)), dtype=float)
-    x0_sum = x0.reshape(algebra.graph.n, model.N).sum(axis=0)
-    alpha = float(sec.get("alpha", 0.5))
-    gamma = float(sec.get("gamma", 3.188))
-    eta = float(sec.get("eta", 1.6))
-    theta = float(sec.get("theta", 1.0 + 1e-9))
-    return bounds.theorem4_report(model, design, algebra, h, tau, delta_e,
-                                  x0_sum, alpha, gamma, eta, theta)
+def _bound(doc, theorem) -> dict:
+    """Report of one theorem or corollary on a document: the output of
+    `bound`, the budget behind a `run` warning and the `reproduce` goldens.
+    bounds is read at call time, so its functions can be wrapped."""
+    if theorem == "4":
+        model, design, algebra = _pipeline_inputs(doc)
+        sec, em = doc.get("bound_params", {}), doc.get("error_model", {})
+        h = float(sec.get("h", doc.get("schedule", {}).get("h_max", 0.0)))
+        tau = float(sec.get("tau", doc.get("schedule", {}).get("tau_max", 0.0)))
+        delta_e = float(sec.get("delta_e", em.get("cap", em.get("delta_e", 0.0)) or 0.0))
+        x0 = np.asarray(doc.get("x0", np.zeros(algebra.graph.n * model.N)), dtype=float)
+        x0_sum = x0.reshape(algebra.graph.n, model.N).sum(axis=0)
+        return bounds.theorem4_report(
+            model, design, algebra, h, tau, delta_e, x0_sum,
+            float(sec.get("alpha", 0.5)), float(sec.get("gamma", 3.188)),
+            float(sec.get("eta", 1.6)), float(sec.get("theta", 1.0 + 1e-9)))
+    if theorem == "3":
+        report = bounds.theorem3_budget(build_algebra(scenarios.parse_graph(doc)))
+    elif theorem == "2":
+        inputs = _pipeline_inputs(doc)
+        em = doc.get("error_model", {})
+        omega = em["omega"] if em.get("kind") == "multiplicative" else doc.get("omega", 0.0)
+        report = bounds.theorem2_budget(*inputs, omega=float(omega))
+    elif theorem == "c1":
+        em = doc.get("error_model", {})
+        if em.get("kind") == "log_quantizer":
+            level = float(em["level"])
+        elif "quant_level" in doc:
+            level = float(doc["quant_level"])
+        else:
+            raise scenarios.ScenarioFormatError("corollary 1 needs a quantizer level")
+        inputs = _pipeline_inputs(doc) if "graph" in doc else (_query_from_doc(doc),)
+        report = bounds.corollary1_budget(*inputs, quant_level=level)
+    else:
+        report = {"1": bounds.theorem1_budget, "c2": bounds.corollary2_budget,
+                  "5": bounds.theorem5_budget}[theorem](_query_from_doc(doc))
+    return report.to_dict()
 
 
 def cmd_bound(args):
     try:
-        doc = _load_doc(args.file)
-        t = args.theorem
-        if t == "4":
-            _emit(_bound_theorem4(doc))
-            return EXIT_OK
-        if t == "1":
-            report = bounds.theorem1_budget(_query_from_doc(doc))
-        elif t == "c2":
-            report = bounds.corollary2_budget(_query_from_doc(doc))
-        elif t == "5":
-            report = bounds.theorem5_budget(_query_from_doc(doc))
-        elif t == "2":
-            report = bounds.theorem2_budget(*_pipeline_inputs(doc),
-                                            omega=_omega_from_doc(doc))
-        elif t == "c1":
-            level = _quant_level_from_doc(doc)
-            inputs = (_pipeline_inputs(doc) if "graph" in doc
-                      else (_query_from_doc(doc),))
-            report = bounds.corollary1_budget(*inputs, quant_level=level)
-        elif t == "3":
-            report = bounds.theorem3_budget(build_algebra(scenarios.parse_graph(doc)))
-        else:
-            _emit({"error": f"unknown theorem {t!r}"})
-            return EXIT_INVALID
-        _emit(report.to_dict())
-        return EXIT_OK if report.feasible else EXIT_INFEASIBLE
+        report = _bound(_load_doc(args.file), args.theorem)
     except (InfeasibleError, SetMembershipError) as exc:
         _emit({"feasible": False, "error": str(exc)})
         return EXIT_INFEASIBLE
@@ -198,6 +178,8 @@ def cmd_bound(args):
             scenarios.ScenarioFormatError, DesignError) as exc:
         _emit({"error": str(exc)})
         return EXIT_INVALID
+    _emit(report)
+    return EXIT_OK if report["feasible"] else EXIT_INFEASIBLE
 
 
 # -- run --------------------------------------------------------------------
@@ -208,28 +190,22 @@ def _budget_warning(doc, s):
     if s.schedule is None or s.graph is None:
         return None
     lag = s.schedule.h_max + s.schedule.tau_max + s.input_delay
+    if s.mode == "relative_edges" and "design" in doc:
+        theorem = "c1" if s.error_model.kind == "log_quantizer" else "2"
+    elif s.mode == "broadcast" and s.model.N == 1 and s.model.A[0, 0] == 0.0:
+        theorem = "3"
+    else:
+        return None
     try:
-        if s.mode == "relative_edges" and "design" in doc:
-            model, design, algebra = _pipeline_inputs(doc)
-            em = doc.get("error_model", {})
-            if em.get("kind") == "log_quantizer":
-                report = bounds.corollary1_budget(model, design, algebra,
-                                                  quant_level=float(em["level"]))
-            else:
-                report = bounds.theorem2_budget(model, design, algebra,
-                                                omega=_omega_from_doc(doc))
-        elif s.mode == "broadcast" and s.model.N == 1 and s.model.A[0, 0] == 0.0:
-            report = bounds.theorem3_budget(build_algebra(s.graph))
-        else:
-            return None
+        report = _bound(doc, theorem)
     except (InfeasibleError, SetMembershipError, DesignError,
             scenarios.ScenarioFormatError, ValueError):
         return None
-    if not report.feasible:
+    if not report["feasible"]:
         return "budget exceeded: no lag is certified for this configuration"
-    if lag > report.budget:
+    if lag > report["budget"]:
         return (f"budget exceeded: total lag {lag:.6g} is above the certified "
-                f"budget {report.budget:.6g}")
+                f"budget {report['budget']:.6g}")
     return None
 
 
@@ -290,8 +266,7 @@ def cmd_run(args):
     try:
         doc = _load_doc(args.file)
         s = scenarios.parse_scenario(doc)
-        from dataclasses import replace
-        if args.seed and "seed" not in doc:
+        if args.seed is not None:
             s = replace(s, seed=args.seed)
         if args.tol is not None:
             s = replace(s, consensus_tol=args.tol)
@@ -304,7 +279,6 @@ def cmd_run(args):
     sweep_seeds = doc.get("sweep", {}).get("seeds")
     try:
         if sweep_seeds:
-            from dataclasses import replace
             variants = [replace(s, seed=int(sd)) for sd in sweep_seeds]
             with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
                 reports = list(pool.map(
@@ -326,52 +300,27 @@ def cmd_run(args):
 
 # -- reproduce --------------------------------------------------------------
 
-def _golden_rows_example1(doc):
-    model = scenarios.parse_model(doc)
-    design = riccati_design(model, lam=float(doc["design"]["lambda"]),
-                            mu=float(doc["design"]["mu"]))
-    algebra = build_algebra(scenarios.parse_graph(doc))
-    level = float(doc["error_model"]["level"])
-    report = bounds.corollary1_budget(model, design, algebra, quant_level=level)
-    return {"K": design.K.ravel().tolist(), "budget_c1": report.budget}
-
-
-def _golden_rows_example2(doc):
-    algebra = build_algebra(scenarios.parse_graph(doc))
-    report = bounds.theorem3_budget(algebra)
-    return {"budget_thm3": report.budget,
-            "gamma_star": report.details["gamma_star"],
-            "objective": report.details["objective"],
-            "sync_constant": report.details["synchronous_necessary_sufficient"]}
-
-
-def _golden_rows_example3(doc):
-    model, design, algebra = _pipeline_inputs(doc)
-    em = doc["error_model"]
-    sched = doc["schedule"]
-    x0 = np.asarray(doc["x0"], dtype=float)
-    x0_sum = x0.reshape(algebra.graph.n, model.N).sum(axis=0)
-    h, tau, delta_e = sched["h_max"], sched["tau_max"], em["cap"]
-    report = bounds.theorem4_report(model, design, algebra, h, tau, delta_e,
-                                    x0_sum, alpha=0.5, gamma=3.188, eta=1.6)
-    return {"delta_h": report["delta_h"], "error_bound": report["error_bound"],
-            "beta": report["witness"]["beta"]}
+# The theorem whose report holds each example's goldens, and the goldens
+# named other than the report value they check.
+GOLDEN_THEOREM = {1: "c1", 2: "3", 3: "4"}
+GOLDEN_KEYS = {"budget_c1": "budget", "budget_thm3": "budget",
+               "sync_constant": "synchronous_necessary_sufficient"}
 
 
 def cmd_reproduce(args):
     number = int(args.example)
     try:
-        doc, goldens = scenarios.builtin_example(number, seed=args.seed)
+        doc, goldens = scenarios.builtin_example(number, seed=args.seed or 0)
     except ValueError as exc:
         _emit({"error": str(exc)})
         return EXIT_INVALID
-    computed = {1: _golden_rows_example1,
-                2: _golden_rows_example2,
-                3: _golden_rows_example3}[number](doc)
+    s = scenarios.parse_scenario(doc)
+    bound = _bound(doc, GOLDEN_THEOREM[number])
+    computed = {**bound, **bound.get("details", {}), "K": s.gain.ravel().tolist()}
     rows = []
     all_pass = True
     for name, (expected, tol) in goldens.items():
-        got = computed[name]
+        got = computed[GOLDEN_KEYS.get(name, name)]
         if isinstance(expected, list):
             ok = all(abs(g - e) <= tol for g, e in zip(got, expected))
         else:
@@ -381,7 +330,6 @@ def cmd_reproduce(args):
                      "tolerance": tol, "pass": bool(ok)})
         print(f"  {'PASS' if ok else 'FAIL'}  {name}: computed {got} "
               f"(expected {expected} +- {tol})")
-    s = scenarios.parse_scenario(doc)
     try:
         trace = run(s)
     except RUN_ERRORS as exc:
@@ -407,7 +355,9 @@ def build_parser():
         prog="asynclab",
         description="Sampled-data multi-agent consensus: gain design, "
                     "certified sampling/delay budgets, exact simulation.")
-    ap.add_argument("--seed", type=int, default=0, help="override random seed")
+    ap.add_argument("--seed", type=int, default=None,
+                    help="override the scenario's random seed (run); the seed "
+                         "of the built-in example (reproduce, default 0)")
     ap.add_argument("--tol", type=float, default=None,
                     help="override consensus tolerance")
     sub = ap.add_subparsers(dest="command", required=True)

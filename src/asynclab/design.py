@@ -93,16 +93,13 @@ class DesignConstants:
     sigma_BBtP: float
     sigma_BK: float
     sigma_edge: float            # sigma_max((D^T D kron P B K) - 2 mu I)
-    sigma_broadcast: float | None  # sigma_max((D D^T kron P B B^T P) - 2(mu - lambda_P/(2 eta)) I)
 
 
-def design_constants(design: GainDesign, model: LtiModel, algebra: GraphAlgebra,
-                     eta: float | None = None) -> DesignConstants:
-    """Constants feeding the relative-edge and broadcast margin conditions.
-
-    The broadcast constant depends on the free parameter eta and is only
-    computed when eta is supplied.
-    """
+def design_constants(design: GainDesign, model: LtiModel,
+                     algebra: GraphAlgebra) -> DesignConstants:
+    """Constants feeding the relative-edge and broadcast margin conditions;
+    the broadcast sigma depends on the free parameter eta and comes from
+    theorem4_sigma."""
     B, N = model.B, model.N
     P, K, mu = design.P, design.K, design.mu
     PBK = P @ B @ K
@@ -111,9 +108,6 @@ def design_constants(design: GainDesign, model: LtiModel, algebra: GraphAlgebra,
     m = algebra.graph.m
     sigma_edge = max_singular_value(
         np.kron(algebra.edge_laplacian, PBK) - 2.0 * mu * np.eye(m * N))
-    sigma_broadcast = None
-    if eta is not None:
-        sigma_broadcast = theorem4_sigma(design, model, algebra, eta)
     return DesignConstants(
         lambda_PBK_s=symmetric_part_max_eig(PBK),
         lambda_P=design.lambda_P,
@@ -121,7 +115,6 @@ def design_constants(design: GainDesign, model: LtiModel, algebra: GraphAlgebra,
         sigma_BBtP=max_singular_value(B @ B.T @ P),
         sigma_BK=max_singular_value(B @ K),
         sigma_edge=sigma_edge,
-        sigma_broadcast=sigma_broadcast,
     )
 
 

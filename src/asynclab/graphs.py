@@ -105,13 +105,6 @@ def is_connected(g: InteractionGraph) -> bool:
     return len(seen) == g.n
 
 
-def algebraic_connectivity(a: GraphAlgebra) -> float:
-    """Second-smallest Laplacian eigenvalue."""
-    if a.graph.n < 2:
-        raise InvalidGraphError("algebraic connectivity needs at least 2 vertices")
-    return a.lambda_2
-
-
 def cycle_graph(n: int) -> InteractionGraph:
     """The n-cycle 1-2-...-n-1."""
     edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]

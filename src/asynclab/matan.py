@@ -66,7 +66,9 @@ def expm(M, t=1.0) -> np.ndarray:
         raise DimensionError(f"t must be a scalar or 1-d, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
-    out = sla.expm(M * t[..., None, None])
+    # an overflow is raised below, so numpy stays quiet about it
+    with np.errstate(over="ignore"):
+        out = sla.expm(M * t[..., None, None])
     if not np.all(np.isfinite(out)):
         raise OverflowError("matrix exponential overflowed; ||M t|| too large")
     return out

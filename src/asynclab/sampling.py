@@ -35,9 +35,6 @@ class ChannelSchedule:
     sample_instants: np.ndarray
     delays: np.ndarray
 
-    def delivery_instants(self) -> np.ndarray:
-        return self.sample_instants + self.delays
-
 
 def generate_schedule(h_min: float, h_max: float, tau_max: float,
                       horizon: float, seed: int, channel_id: int) -> ChannelSchedule:
@@ -214,14 +211,10 @@ def log_quantize(value, quant_level: float) -> np.ndarray:
     return np.where(nz, np.copysign(quant_level**exps, value), 0.0)
 
 
-def event_trigger_check(current, held, omega: float, cap: float | None = None,
-                        norm_form: bool = False) -> bool:
+def event_trigger_check(current, held, omega: float, cap: float | None = None) -> bool:
     """Trigger condition on the deviation of the current value from the held
-    measurement.
-
-    Quadratic form: ||current - held||^2 >= omega ||held||^2.
-    Norm form:      ||current - held|| >= sqrt(omega)/(1+sqrt(omega)) ||current||.
-    A cap turns the threshold into min(sqrt(omega) ||held||, cap).
+    measurement: ||current - held||^2 >= omega ||held||^2. A cap turns the
+    threshold into min(sqrt(omega) ||held||, cap).
 
     current and held are 1-d; each norm is sqrt(x . x), which is how
     np.linalg.norm computes it, without that function's call overhead.
@@ -232,9 +225,6 @@ def event_trigger_check(current, held, omega: float, cap: float | None = None,
     held = np.asarray(held, dtype=float)
     d = current - held
     dev = math.sqrt(d.dot(d))
-    if norm_form:
-        r = math.sqrt(omega) / (1.0 + math.sqrt(omega))
-        return dev >= r * math.sqrt(current.dot(current))
     threshold = math.sqrt(omega) * math.sqrt(held.dot(held))
     if cap is not None:
         threshold = min(threshold, cap)

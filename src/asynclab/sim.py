@@ -128,6 +128,15 @@ class Scenario:
                 raise ScenarioError(f"gain must be {N}x{N} in {self.mode} mode")
             if self.x0.size != G.shape[0] * N:
                 raise ScenarioError("x0 length must be m * N")
+        em = self.error_model
+        if em.kind == "event_trigger":
+            if self.mode not in ("abstract_coupled", "event_triggered", "broadcast"):
+                raise ScenarioError("event triggering supports abstract or broadcast modes")
+            if self.mode != "broadcast" and self.input_delay != 0.0:
+                raise ScenarioError("abstract event-triggered mode excludes delays")
+            if (self.mode == "broadcast" and self.schedule is not None
+                    and em.dwell > self.schedule.h_min + 1e-12):
+                raise ScenarioError("dwell time must not exceed the minimum sampling gap")
 
     @property
     def n_units(self) -> int:
@@ -509,24 +518,40 @@ def _timeline(s: Scenario, scheds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @np.errstate(over="ignore", invalid="ignore")
 def run(s: Scenario) -> Trace:
     """Simulate one scenario. The scheduled modes, event-triggered
-    broadcasts included, make one pass over the precomputed timeline; the
-    continuously monitored event-triggered modes go to run_event_triggered."""
-    em = s.error_model
+    broadcasts included, make one pass over the precomputed timeline
+    (_scheduled); the continuously monitored trigger modes queue their
+    events (_monitored)."""
+    monitored = s.error_model.kind == "event_trigger" and s.mode != "broadcast"
+    rows = s.snapshot_points + 2
+    if not monitored:
+        if s.error_model.kind == "event_trigger" and s.schedule is None and s.schedules is None:
+            raise ScenarioError("scheduled event triggering needs sampling schedules")
+        if s.horizon > 0:
+            times, chans, orders = _timeline(s, _build_schedules(s))
+            # The state steps through every timeline instant, skipped
+            # deliveries included; dts[i] is the step into entry i, zero at
+            # a repeated time.
+            dts = np.diff(times, prepend=0.0)
+            rows = int(np.count_nonzero(dts)) + 2
+    eng = _Engine(s, rows)
+    try:
+        if monitored and s.horizon > 0:
+            _monitored(eng)
+        elif s.horizon > 0:
+            _scheduled(eng, times, dts, chans, orders)
+    except (OverflowError, ValueError):
+        eng.raise_if_diverged()
+        raise
+    return eng.finish()
+
+
+def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
+    """One pass over the timeline. In triggered broadcasts each agent
+    samples on its own admissible schedule and broadcasts, with delay, only
+    when the (optionally capped) trigger condition holds at the sampling
+    instant; a delivery whose sample did not fire is skipped."""
+    em = eng.s.error_model
     triggered = em.kind == "event_trigger"
-    if triggered and s.mode != "broadcast":
-        return run_event_triggered(s)
-    if triggered and s.schedule is None and s.schedules is None:
-        raise ScenarioError("scheduled event triggering needs sampling schedules")
-    if s.horizon == 0.0:
-        return _Engine(s, 1).finish()
-    scheds = _build_schedules(s)
-    if triggered and s.schedule is not None and em.dwell > s.schedule.h_min + 1e-12:
-        raise ScenarioError("dwell time must not exceed the minimum sampling gap")
-    times, chans, orders = _timeline(s, scheds)
-    # The state steps through every timeline instant, skipped deliveries
-    # included; dts[i] is the step into entry i, zero at a repeated time.
-    dts = np.diff(times, prepend=0.0)
-    eng = _Engine(s, int(np.count_nonzero(dts)) + 2)
     queue = [deque() for _ in range(eng.channels)]   # (k, measured, sampled, time)
     last_sent = [None] * eng.channels
 
@@ -541,68 +566,43 @@ def run(s: Scenario) -> Trace:
         last_sent[ch] = value
         return True
 
-    if s.startup == "first_sample":
+    if eng.s.startup == "first_sample":
         for ch in range(eng.channels):
             eng.set_hold(ch, eng.read_channel(ch))
-    try:
-        for sl in _chunks(len(times)):
-            expA, phi = eng.prop.pairs(dts[sl])
-            for j, (te, ch, order) in enumerate(zip(times[sl].tolist(), chans[sl].tolist(),
-                                                    orders[sl].tolist())):
-                if te != eng.t:
-                    eng.advance(te, expA[j], phi[j])
-                if ch >= 0 and order & 1:
-                    q = queue[ch]
-                    if not q or q[0][0] != order >> 1:
-                        continue        # its sample did not fire
-                    _, value, sampled, t_sampled = q.popleft()
-                    eng.set_hold(ch, value)
-                    if eng.track_tilde:
-                        eng.deliveries.append((te, ch, sampled, t_sampled))
-                    eng.events.append((te, ch, "deliver"))
-                elif ch >= 0:
-                    value = eng.read_channel(ch)
-                    if fire(ch, value):
-                        queue[ch].append((order >> 1, eng.measure(ch, value), value, te))
-                        if triggered:
-                            eng.events.append((te, ch, "update"))
-                    eng.events.append((te, ch, "sample"))
-                eng.snapshot()
-            eng.settle()
-            if eng.stopped:
-                break
-    except (OverflowError, ValueError):
-        eng.raise_if_diverged()
-        raise
-    return eng.finish()
+    for sl in _chunks(len(times)):
+        expA, phi = eng.prop.pairs(dts[sl])
+        for j, (te, ch, order) in enumerate(zip(times[sl].tolist(), chans[sl].tolist(),
+                                                orders[sl].tolist())):
+            if te != eng.t:
+                eng.advance(te, expA[j], phi[j])
+            if ch >= 0 and order & 1:
+                q = queue[ch]
+                if not q or q[0][0] != order >> 1:
+                    continue        # its sample did not fire
+                _, value, sampled, t_sampled = q.popleft()
+                eng.set_hold(ch, value)
+                if eng.track_tilde:
+                    eng.deliveries.append((te, ch, sampled, t_sampled))
+                eng.events.append((te, ch, "deliver"))
+            elif ch >= 0:
+                value = eng.read_channel(ch)
+                if fire(ch, value):
+                    queue[ch].append((order >> 1, eng.measure(ch, value), value, te))
+                    if triggered:
+                        eng.events.append((te, ch, "update"))
+                eng.events.append((te, ch, "sample"))
+            eng.snapshot()
+        eng.settle()
+        if eng.stopped:
+            break
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def run_event_triggered(s: Scenario) -> Trace:
-    """Event-triggered updates with a mandatory dwell time.
-
-    Two flavors:
-      * abstract monitoring (mode abstract_coupled or event_triggered):
-        each subsystem monitors its own state continuously after the dwell
-        window, with trigger checks every dwell/50 and bisection refinement
-        of the crossing instant; updates are delay-free.
-      * scheduled broadcasting (mode broadcast): each agent samples on its
-        own admissible schedule and broadcasts, with delay, only when the
-        (optionally capped) trigger condition holds at the sampling instant.
-    """
-    em = s.error_model
-    if em.kind != "event_trigger":
-        raise ScenarioError("run_event_triggered needs an event_trigger error model")
-    if s.mode == "broadcast":
-        return run(s)
-    if s.mode not in ("abstract_coupled", "event_triggered"):
-        raise ScenarioError("event triggering supports abstract or broadcast modes")
-    if s.input_delay != 0.0:
-        raise ScenarioError("abstract event-triggered mode excludes delays")
-
-    eng = _Engine(s, s.snapshot_points + 2)
-    if s.horizon == 0.0:
-        return eng.finish()
+def _monitored(eng: _Engine) -> None:
+    """Event-triggered updates with a mandatory dwell time, in the abstract
+    modes: each subsystem monitors its own state continuously after the
+    dwell window, with trigger checks every dwell/50 and bisection
+    refinement of the crossing instant; updates are delay-free."""
+    s, em = eng.s, eng.s.error_model
     dwell = em.dwell
     dt_check = dwell / 50.0
     # each channel's events lie at least dt_check apart
@@ -622,45 +622,40 @@ def run_event_triggered(s: Scenario) -> Trace:
         return event_trigger_check(eng.read_channel(ch, X), eng.H[ch],
                                    em.omega, cap=em.cap)
 
-    try:
-        while heap and not eng.stopped:
-            te, rank, ch = heapq.heappop(heap)
-            if te > s.horizon:
-                break
-            eng.advance(te)
-            if rank in (RANK_DWELL_EXPIRE, RANK_TRIGGER_CHECK):
-                if triggered(ch, eng.X):
-                    if rank == RANK_TRIGGER_CHECK:
-                        # Refine the crossing, but not to before the last
-                        # row: every event up to it has been processed. The
-                        # last drive change and the end of this channel's
-                        # dwell window each have a row, so the bracket lies
-                        # inside the constant-drive window.
-                        lo = max(te - dt_check, float(eng.row_t[eng.n_rows - 1]))
-                        hi = te
-                        if lo < hi and not triggered(ch, eng.state_at(lo)):
-                            while hi - lo > TRIGGER_REFINE_TOL:
-                                mid = 0.5 * (lo + hi)
-                                if triggered(ch, eng.state_at(mid)):
-                                    hi = mid
-                                else:
-                                    lo = mid
-                            te = hi
-                        else:
-                            te = lo if lo < hi else te
-                        eng.advance(te)
-                    eng.set_hold(ch, eng.read_channel(ch))
-                    eng.events.append((te, ch, "update"))
-                    heapq.heappush(heap, (te + dwell, RANK_DWELL_EXPIRE, ch))
-                else:
-                    heapq.heappush(heap, (te + dt_check, RANK_TRIGGER_CHECK, ch))
-            eng.snapshot()
-            if eng.n_rows - eng.n_settled > FLOW_CHUNK:
-                eng.settle()
-    except (OverflowError, ValueError):
-        eng.raise_if_diverged()
-        raise
-    return eng.finish()
+    while heap and not eng.stopped:
+        te, rank, ch = heapq.heappop(heap)
+        if te > s.horizon:
+            break
+        eng.advance(te)
+        if rank in (RANK_DWELL_EXPIRE, RANK_TRIGGER_CHECK):
+            if triggered(ch, eng.X):
+                if rank == RANK_TRIGGER_CHECK:
+                    # Refine the crossing, but not to before the last row:
+                    # every event up to it has been processed. The last
+                    # drive change and the end of this channel's dwell
+                    # window each have a row, so the bracket lies inside
+                    # the constant-drive window.
+                    lo = max(te - dt_check, float(eng.row_t[eng.n_rows - 1]))
+                    hi = te
+                    if lo < hi and not triggered(ch, eng.state_at(lo)):
+                        while hi - lo > TRIGGER_REFINE_TOL:
+                            mid = 0.5 * (lo + hi)
+                            if triggered(ch, eng.state_at(mid)):
+                                hi = mid
+                            else:
+                                lo = mid
+                        te = hi
+                    else:
+                        te = lo if lo < hi else te
+                    eng.advance(te)
+                eng.set_hold(ch, eng.read_channel(ch))
+                eng.events.append((te, ch, "update"))
+                heapq.heappush(heap, (te + dwell, RANK_DWELL_EXPIRE, ch))
+            else:
+                heapq.heappush(heap, (te + dt_check, RANK_TRIGGER_CHECK, ch))
+        eng.snapshot()
+        if eng.n_rows - eng.n_settled > FLOW_CHUNK:
+            eng.settle()
 
 
 def metrics(trace: Trace, window: float = 0.1) -> dict:

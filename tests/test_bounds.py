@@ -12,7 +12,7 @@ from asynclab.bounds import (BoundQuery, InfeasibleError, SearchParams,
                              corollary2_budget, delta_kappa, marginally_stable,
                              max_expm_norms, theorem1_budget, theorem1_margin,
                              theorem2_budget, theorem3_budget,
-                             theorem4_best_bound, theorem4_bound_opt_beta,
+                             theorem4_bound_opt_beta,
                              theorem4_error_bound, theorem5_budget)
 from asynclab.design import riccati_design
 from asynclab.graphs import build_algebra, cycle_graph, path_graph
@@ -428,20 +428,6 @@ def test_theorem4_rejects_unstable_dynamics():
         theorem4_error_bound(LtiModel(A=[[0.5]], B=[[1.0]]), d, ALG5,
                              0.01, 0.0, 0.01, np.array([0.0]),
                              SearchParams(alpha=1.0, beta=1.0))
-
-
-def test_theorem4_best_bound_improves_on_fixed_point():
-    d, x0_sum = _example3_setup()
-    fixed, _ = theorem4_bound_opt_beta(
-        INTEGRATOR, d, ALG5, 0.025, 0.02, 0.08, x0_sum,
-        alpha=0.5, gamma=3.188, eta=1.6)
-    grid = [SearchParams(alpha=a, beta=1e-9, gamma=g, eta=e)
-            for a in (0.3, 0.5, 0.8)
-            for g in (2.5, 3.188, 4.0)
-            for e in (1.2, 1.6, 2.2)]
-    best, best_p = theorem4_best_bound(INTEGRATOR, d, ALG5, 0.025, 0.02,
-                                       0.08, x0_sum, grid)
-    assert best <= fixed + 1e-12
 
 
 # -- corollaries and theorem 5 ----------------------------------------------

@@ -206,7 +206,14 @@ def test_run_schema_error_exits_2(tmp_path, capsys):
     (2, {"horizon": math.inf}),
     (2, {"horizon": math.nan}),
     (3, {"startup": "first_sample"}),
-], ids=["nan_x0", "inf_horizon", "nan_horizon", "first_sample_with_trigger"])
+    (1, {"error_model": {"kind": "event_trigger", "omega": 0.09, "dwell": 0.005}}),
+    (3, {"error_model": {"kind": "event_trigger", "omega": 0.09, "dwell": 0.03,
+                         "cap": 0.08}}),
+    (2, {"mode": "event_triggered", "coupling": [[1.0, -1.0], [-1.0, 1.0]],
+         "x0": [1.0, -1.0], "input_delay": 0.01,
+         "error_model": {"kind": "event_trigger", "omega": 0.05, "dwell": 0.02}}),
+], ids=["nan_x0", "inf_horizon", "nan_horizon", "first_sample_with_trigger",
+        "trigger_on_relative_edges", "dwell_above_h_min", "abstract_trigger_with_delay"])
 def test_run_bad_scenario_exits_2(ex_file, tmp_path, capsys, example, overrides):
     doc, _ = builtin_example(example)
     doc.update(overrides)
@@ -218,6 +225,34 @@ def test_run_bad_scenario_exits_2(ex_file, tmp_path, capsys, example, overrides)
                         "--out", str(tmp_path / "o"))
     assert code == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("flags, seed", [([], 2), (["--seed", "7"], 7), (["--seed", "0"], 0)],
+                         ids=["scenario_seed", "override", "override_with_0"])
+def test_run_seed_flag(ex_file, tmp_path, capsys, flags, seed):
+    code, out = run_cli(capsys, *flags, "run", ex_file(2, horizon=1.0, seed=2),
+                        "--out", str(tmp_path / "flag"))
+    assert code == 0
+    assert json.loads(out)["seed"] == seed
+    # the run used that seed: its trace is the one of a scenario that names it
+    run_cli(capsys, "run", ex_file(2, horizon=1.0, seed=seed), "--out", str(tmp_path / "doc"))
+    assert ((tmp_path / "flag" / "trace.csv").read_bytes()
+            == (tmp_path / "doc" / "trace.csv").read_bytes())
+
+
+def test_reproduce_seed_defaults_to_0(capsys, monkeypatch):
+    from asynclab import scenarios
+    seeds = []
+    example = scenarios.builtin_example
+
+    def short(number, seed):
+        seeds.append(seed)
+        doc, goldens = example(number, seed=seed)
+        return dict(doc, horizon=1.0), goldens
+    monkeypatch.setattr(scenarios, "builtin_example", short)
+    assert run_cli(capsys, "reproduce", "--example", "2")[0] == 0
+    assert run_cli(capsys, "--seed", "5", "reproduce", "--example", "2")[0] == 0
+    assert seeds == [0, 5]
 
 
 def test_run_runtime_error_exits_4(ex_file, tmp_path, capsys):
@@ -246,15 +281,22 @@ def test_reproduce_bad_example(capsys):
 
 
 def test_sweep_parallel_runs(ex_file, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ASYNC_LAB_THREADS", "2")
-    out_dir = tmp_path / "sweep"
-    code, out = run_cli(capsys, "run",
-                        ex_file(2, horizon=3.0, sweep={"seeds": [1, 2, 3]}),
-                        "--out", str(out_dir))
-    assert code == 0
-    report = json.loads(out)
-    assert [r["seed"] for r in report["runs"]] == [1, 2, 3]
-    assert (out_dir / "trace_seed2.csv").exists()
+    # The outputs do not depend on the thread count.
+    path = ex_file(2, horizon=3.0, sweep={"seeds": [1, 2, 3]})
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ASYNC_LAB_THREADS", threads)
+        code, out = run_cli(capsys, "run", path, "--out", str(tmp_path / threads))
+        assert code == 0
+        assert [r["seed"] for r in json.loads(out)["runs"]] == [1, 2, 3]
+        reports.append(json.loads((tmp_path / threads / "report.json").read_text()))
+    for seed in (1, 2, 3):
+        for name in (f"trace_seed{seed}.csv", f"events_seed{seed}.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    for report in reports:
+        for r in report["runs"]:
+            del r["runtime_s"], r["outputs"]
+    assert reports[0] == reports[1]
 
 
 def test_run_divergence_exits_4_without_trace(ex_file, tmp_path, capsys):

@@ -78,7 +78,6 @@ def test_design_constants_shapes_and_values():
     assert c.sigma_BBtP == pytest.approx(np.linalg.norm(B @ B.T @ P, 2))
     big = np.kron(alg.edge_laplacian, PBK) - 2.0 * d.mu * np.eye(5 * 2)
     assert c.sigma_edge == pytest.approx(np.linalg.norm(big, 2))
-    assert c.sigma_broadcast is None
 
 
 def test_theorem4_sigma_single_integrators():

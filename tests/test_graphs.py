@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from asynclab.graphs import (InteractionGraph, InvalidGraphError,
-                             algebraic_connectivity, build_algebra,
-                             cycle_graph, is_connected, path_graph,
-                             star_graph)
+                             build_algebra, cycle_graph, is_connected,
+                             path_graph, star_graph)
 
 
 def test_edge_canonicalization():
@@ -84,5 +83,3 @@ def test_star_graph_lambda_n():
     # Star on n vertices has largest Laplacian eigenvalue n.
     a = build_algebra(star_graph(7))
     assert a.lambda_n == pytest.approx(7.0)
-    with pytest.raises(InvalidGraphError):
-        algebraic_connectivity(build_algebra(InteractionGraph(n=1)))

@@ -182,18 +182,13 @@ def test_event_trigger_check_forms():
     assert event_trigger_check([1.09], [1.0], 0.09, cap=0.08)
     # the cap lowers the threshold for large held values
     assert event_trigger_check([10.5], [10.0], 0.09, cap=0.08)
-    # norm form
-    assert event_trigger_check([2.0], [1.0], 1.0, norm_form=True)
 
 
-def _norm_trigger_check(current, held, omega, cap=None, norm_form=False):
+def _norm_trigger_check(current, held, omega, cap=None):
     """event_trigger_check as it was written with np.linalg.norm."""
     current = np.asarray(current, dtype=float)
     held = np.asarray(held, dtype=float)
     dev = float(np.linalg.norm(current - held))
-    if norm_form:
-        r = math.sqrt(omega) / (1.0 + math.sqrt(omega))
-        return dev >= r * float(np.linalg.norm(current))
     threshold = math.sqrt(omega) * float(np.linalg.norm(held))
     if cap is not None:
         threshold = min(threshold, cap)
@@ -210,7 +205,7 @@ def test_event_trigger_check_matches_linalg_norm():
         omega = float(rng.uniform(0.0, 0.2))
         for v in (held, current - held):
             assert math.sqrt(v.dot(v)) == np.linalg.norm(v)
-        for kw in ({}, {"cap": float(rng.uniform(0.01, 1.0))}, {"norm_form": True}):
+        for kw in ({}, {"cap": float(rng.uniform(0.01, 1.0))}):
             got = event_trigger_check(current, held, omega, **kw)
             assert got == _norm_trigger_check(current, held, omega, **kw)
             fired += got

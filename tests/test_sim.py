@@ -14,7 +14,7 @@ from asynclab.sampling import ChannelSchedule, ErrorModel, channel_rng
 from asynclab.scenarios import builtin_example, parse_scenario
 from asynclab.sim import (DivergenceError, Scenario, ScenarioError,
                           ScheduleParams, average_state_error, metrics,
-                          min_update_gap, run, run_event_triggered)
+                          min_update_gap, run)
 
 OSCILLATOR = LtiModel(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]])
 INTEGRATOR = LtiModel(A=[[0.0]], B=[[1.0]])
@@ -294,7 +294,7 @@ def test_scenario_validation_errors():
         Scenario(mode="broadcast", model=INTEGRATOR, gain=[[1.0]],
                  graph=cycle_graph(3), x0=[0.0], horizon=1.0)
     with pytest.raises(ScenarioError):   # delays in abstract triggered mode
-        run_event_triggered(Scenario(
+        run(Scenario(
             mode="event_triggered", model=INTEGRATOR, gain=[[1.0]],
             x0=[0.0], horizon=1.0, coupling=np.eye(1), input_delay=0.1,
             error_model=ErrorModel.event_trigger(0.1, dwell=0.05)))
