@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -36,19 +35,10 @@ EXIT_RUNTIME = 4
 EXIT_GOLDEN = 5
 
 # Failures of a simulation run, reported with EXIT_RUNTIME.
-RUN_ERRORS = (ScheduleError, ScenarioError, RuntimeError, OverflowError)
+RUN_ERRORS = (ScheduleError, RuntimeError, OverflowError)
 # Trace rows or events per encoded block of an export file: one write each,
 # and memory that stays flat in the length of the run.
 EXPORT_BLOCK = 512
-
-
-def thread_cap() -> int:
-    """Parallelism cap for scenario sweeps, from ASYNC_LAB_THREADS."""
-    raw = os.environ.get("ASYNC_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return os.cpu_count() or 1
 
 
 def _load_doc(path):
@@ -241,7 +231,7 @@ def write_event_log(trace, path):
         f.write("]\n")
 
 
-def _run_one(doc, s, outdir, tag=""):
+def _run_one(s, warning, outdir, tag):
     start = time.perf_counter()
     trace = run(s)
     runtime = time.perf_counter() - start
@@ -250,7 +240,6 @@ def _run_one(doc, s, outdir, tag=""):
     events_path = os.path.join(outdir, f"events{tag}.json")
     write_trace_csv(trace, csv_path)
     write_event_log(trace, events_path)
-    warning = _budget_warning(doc, s)
     return {
         "seed": s.seed,
         "consensus": m["consensus"],
@@ -262,6 +251,18 @@ def _run_one(doc, s, outdir, tag=""):
     }
 
 
+def _sweep_seeds(doc):
+    """The seeds of the document's `sweep` section, or None without one."""
+    if "sweep" not in doc:
+        return None
+    seeds = doc["sweep"].get("seeds") if isinstance(doc["sweep"], dict) else None
+    if not (isinstance(seeds, list) and seeds and all(
+            isinstance(sd, int) and not isinstance(sd, bool) for sd in seeds)):
+        raise scenarios.ScenarioFormatError(
+            "sweep must be an object whose seeds is a non-empty list of integers")
+    return seeds
+
+
 def cmd_run(args):
     try:
         doc = _load_doc(args.file)
@@ -270,27 +271,24 @@ def cmd_run(args):
             s = replace(s, seed=args.seed)
         if args.tol is not None:
             s = replace(s, consensus_tol=args.tol)
+        sweep = _sweep_seeds(doc)
     except (OSError, json.JSONDecodeError, scenarios.ScenarioFormatError,
             ScenarioError, ValueError) as exc:
         _emit({"error": str(exc)})
         return EXIT_INVALID
-    outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
-    sweep_seeds = doc.get("sweep", {}).get("seeds")
+    os.makedirs(args.out, exist_ok=True)
+    # Budgets do not depend on the seed: one verdict serves every run.
+    warning = _budget_warning(doc, s)
+    # A single run is a sweep of its own seed whose files carry no tag.
+    seeds, tag = ([s.seed], "") if sweep is None else (sweep, "_seed{}")
     try:
-        if sweep_seeds:
-            variants = [replace(s, seed=int(sd)) for sd in sweep_seeds]
-            with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-                reports = list(pool.map(
-                    lambda v: _run_one(doc, v, outdir, tag=f"_seed{v.seed}"),
-                    variants))
-            report = {"runs": reports}
-        else:
-            report = _run_one(doc, s, outdir)
+        runs = [_run_one(replace(s, seed=sd), warning, args.out, tag.format(sd))
+                for sd in seeds]
     except RUN_ERRORS as exc:
         _emit({"error": str(exc)})
         return EXIT_RUNTIME
-    report_path = os.path.join(outdir, "report.json")
+    report = runs[0] if sweep is None else {"runs": runs}
+    report_path = os.path.join(args.out, "report.json")
     with open(report_path, "w") as f:
         _dump(report, f)
     report["report_path"] = report_path

@@ -51,13 +51,13 @@ def riccati_design(model: LtiModel, lam: float, mu: float) -> GainDesign:
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise DesignError(f"Riccati solver failed: {exc}") from exc
     P = (P + P.T) / 2.0
-    residual = np.linalg.norm(P @ A + A.T @ P - 2.0 * lam * P @ B @ B.T @ P
-                              + 2.0 * mu * np.eye(N), "fro")
+    design = GainDesign(P=P, K=B.T @ P, mu=float(mu), lam=float(lam))
+    residual = riccati_residual(design, model)
     if residual > 1e-8 * (1.0 + np.linalg.norm(P, "fro")):
         raise DesignError(f"Riccati residual too large: {residual:.3e}")
     if np.linalg.eigvalsh(P)[0] <= 0:
         raise DesignError("Riccati solution is not positive definite")
-    return GainDesign(P=P, K=B.T @ P, mu=float(mu), lam=float(lam))
+    return design
 
 
 def riccati_residual(design: GainDesign, model: LtiModel) -> float:

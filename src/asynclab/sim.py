@@ -137,6 +137,16 @@ class Scenario:
             if (self.mode == "broadcast" and self.schedule is not None
                     and em.dwell > self.schedule.h_min + 1e-12):
                 raise ScenarioError("dwell time must not exceed the minimum sampling gap")
+        if not self.monitored and self.schedule is None and self.schedules is None:
+            raise ScenarioError("scenario needs schedule parameters or explicit schedules")
+        if self.schedules is not None and len(self.schedules) != self.n_channels:
+            raise ScenarioError(f"expected {self.n_channels} schedules, "
+                                f"got {len(self.schedules)}")
+
+    @property
+    def monitored(self) -> bool:
+        """Abstract-mode event triggering: checked continuously, no schedule."""
+        return self.error_model.kind == "event_trigger" and self.mode != "broadcast"
 
     @property
     def n_units(self) -> int:
@@ -466,20 +476,15 @@ class _Engine:
 
 def _build_schedules(s: Scenario) -> list[ChannelSchedule]:
     if s.schedules is not None:
-        scheds = list(s.schedules)
-        if len(scheds) != s.n_channels:
-            raise ScenarioError(f"expected {s.n_channels} schedules, got {len(scheds)}")
-        for sc in scheds:
-            # structural admissibility only; no (h, tau) caps are declared
-            validate_schedule(sc, math.inf, math.inf)
-    elif s.schedule is not None:
+        # structural admissibility only; no (h, tau) caps are declared
+        scheds, h_cap, tau_cap = list(s.schedules), math.inf, math.inf
+    else:
         p = s.schedule
         scheds = [generate_schedule(p.h_min, p.h_max, p.tau_max, s.horizon,
                                     s.seed, ch) for ch in range(s.n_channels)]
-        for sc in scheds:
-            validate_schedule(sc, p.h_max, p.tau_max)
-    else:
-        raise ScenarioError("scenario needs schedule parameters or explicit schedules")
+        h_cap, tau_cap = p.h_max, p.tau_max
+    for sc in scheds:
+        validate_schedule(sc, h_cap, tau_cap)
     return scheds
 
 
@@ -521,21 +526,17 @@ def run(s: Scenario) -> Trace:
     broadcasts included, make one pass over the precomputed timeline
     (_scheduled); the continuously monitored trigger modes queue their
     events (_monitored)."""
-    monitored = s.error_model.kind == "event_trigger" and s.mode != "broadcast"
     rows = s.snapshot_points + 2
-    if not monitored:
-        if s.error_model.kind == "event_trigger" and s.schedule is None and s.schedules is None:
-            raise ScenarioError("scheduled event triggering needs sampling schedules")
-        if s.horizon > 0:
-            times, chans, orders = _timeline(s, _build_schedules(s))
-            # The state steps through every timeline instant, skipped
-            # deliveries included; dts[i] is the step into entry i, zero at
-            # a repeated time.
-            dts = np.diff(times, prepend=0.0)
-            rows = int(np.count_nonzero(dts)) + 2
+    if not s.monitored and s.horizon > 0:
+        times, chans, orders = _timeline(s, _build_schedules(s))
+        # The state steps through every timeline instant, skipped
+        # deliveries included; dts[i] is the step into entry i, zero at
+        # a repeated time.
+        dts = np.diff(times, prepend=0.0)
+        rows = int(np.count_nonzero(dts)) + 2
     eng = _Engine(s, rows)
     try:
-        if monitored and s.horizon > 0:
+        if s.monitored and s.horizon > 0:
             _monitored(eng)
         elif s.horizon > 0:
             _scheduled(eng, times, dts, chans, orders)

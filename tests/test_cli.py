@@ -201,6 +201,18 @@ def test_run_schema_error_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def _assert_run_exits_2(doc, tmp_path, capsys):
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(doc)
+    assert isinstance(info.value.__cause__, ScenarioError)
+    # json writes and reads NaN and Infinity literals, so the file parses.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
 @pytest.mark.parametrize("example, overrides", [
     (2, {"x0": [0.1, math.nan, 0.3, 0.4, 0.5]}),
     (2, {"horizon": math.inf}),
@@ -214,17 +226,36 @@ def test_run_schema_error_exits_2(tmp_path, capsys):
          "error_model": {"kind": "event_trigger", "omega": 0.05, "dwell": 0.02}}),
 ], ids=["nan_x0", "inf_horizon", "nan_horizon", "first_sample_with_trigger",
         "trigger_on_relative_edges", "dwell_above_h_min", "abstract_trigger_with_delay"])
-def test_run_bad_scenario_exits_2(ex_file, tmp_path, capsys, example, overrides):
+def test_run_bad_scenario_exits_2(tmp_path, capsys, example, overrides):
     doc, _ = builtin_example(example)
     doc.update(overrides)
-    with pytest.raises(ScenarioFormatError) as info:
-        parse_scenario(doc)
-    assert isinstance(info.value.__cause__, ScenarioError)
-    # json writes and reads NaN and Infinity literals, so the file parses.
-    code, out = run_cli(capsys, "run", ex_file(example, **overrides),
-                        "--out", str(tmp_path / "o"))
+    _assert_run_exits_2(doc, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("example, schedules", [
+    (2, None),
+    (3, None),
+    (2, [{"channel_id": 0, "sample_instants": [0.1], "delays": [0.0]}]),
+], ids=["no_schedule", "triggered_broadcast_no_schedule", "one_of_5_schedules"])
+def test_run_missing_or_miscounted_schedules_exit_2(tmp_path, capsys, example, schedules):
+    # Example 3 is the event-triggered broadcast.
+    doc, _ = builtin_example(example)
+    del doc["schedule"]
+    if schedules is not None:
+        doc["schedules"] = schedules
+    _assert_run_exits_2(doc, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("sweep", [
+    {"seeds": ["abc"]}, [1, 2], {"seeds": [1.5]}, {"seeds": [True]}, {"seeds": []},
+], ids=["string_seed", "not_an_object", "float_seed", "bool_seed", "no_seeds"])
+def test_run_malformed_sweep_exits_2(ex_file, tmp_path, capsys, sweep):
+    out_dir = tmp_path / "o"
+    code, out = run_cli(capsys, "run", ex_file(2, horizon=1.0, sweep=sweep),
+                        "--out", str(out_dir))
     assert code == 2
-    assert "error" in json.loads(out)
+    assert "sweep" in json.loads(out)["error"]
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flags, seed", [([], 2), (["--seed", "7"], 7), (["--seed", "0"], 0)],
@@ -280,23 +311,41 @@ def test_reproduce_bad_example(capsys):
         main(["reproduce", "--example", "9"])
 
 
-def test_sweep_parallel_runs(ex_file, tmp_path, capsys, monkeypatch):
-    # The outputs do not depend on the thread count.
-    path = ex_file(2, horizon=3.0, sweep={"seeds": [1, 2, 3]})
-    reports = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("ASYNC_LAB_THREADS", threads)
-        code, out = run_cli(capsys, "run", path, "--out", str(tmp_path / threads))
+def test_sweep_matches_single_runs(ex_file, tmp_path, capsys):
+    code, out = run_cli(capsys, "run", ex_file(2, horizon=3.0, sweep={"seeds": [1, 2, 3]}),
+                        "--out", str(tmp_path / "sweep"))
+    assert code == 0
+    assert [r["seed"] for r in json.loads(out)["runs"]] == [1, 2, 3]
+    runs = json.loads((tmp_path / "sweep" / "report.json").read_text())["runs"]
+    assert [r["seed"] for r in runs] == [1, 2, 3]
+    single = ex_file(2, horizon=3.0)
+    for swept in runs:
+        seed = swept["seed"]
+        one_dir = tmp_path / f"single{seed}"
+        code, _ = run_cli(capsys, "--seed", str(seed), "run", single, "--out", str(one_dir))
         assert code == 0
-        assert [r["seed"] for r in json.loads(out)["runs"]] == [1, 2, 3]
-        reports.append(json.loads((tmp_path / threads / "report.json").read_text()))
-    for seed in (1, 2, 3):
-        for name in (f"trace_seed{seed}.csv", f"events_seed{seed}.json"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
-    for report in reports:
-        for r in report["runs"]:
-            del r["runtime_s"], r["outputs"]
-    assert reports[0] == reports[1]
+        for tagged, plain in ((f"trace_seed{seed}.csv", "trace.csv"),
+                              (f"events_seed{seed}.json", "events.json")):
+            assert (tmp_path / "sweep" / tagged).read_bytes() == (one_dir / plain).read_bytes()
+        one = json.loads((one_dir / "report.json").read_text())
+        for report in (swept, one):
+            del report["runtime_s"], report["outputs"]
+        assert swept == one
+
+
+def test_sweep_certifies_the_budget_once(ex_file, tmp_path, capsys, monkeypatch):
+    from asynclab import cli
+    calls = {"riccati_design": 0, "_bound": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    code, out = run_cli(capsys, "run", ex_file(1, horizon=0.5, sweep={"seeds": [1, 2, 3, 4]}),
+                        "--out", str(tmp_path / "sweep"))
+    assert code == 0
+    assert len(json.loads(out)["runs"]) == 4
+    assert calls == {"riccati_design": 1, "_bound": 1}
 
 
 def test_run_divergence_exits_4_without_trace(ex_file, tmp_path, capsys):
