@@ -22,11 +22,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import bounds, scenarios
-from .bounds import BoundQuery, InfeasibleError, SearchParams, SetMembershipError
-from .design import DesignError, riccati_design, riccati_residual
+from .bounds import BoundQuery, InfeasibleError, SetMembershipError
+from .design import DesignError, GainDesign, riccati_design, riccati_residual
 from .graphs import build_algebra
 from .sampling import ScheduleError
-from .sim import ScenarioError, metrics, run
+from .sim import metrics, run
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -43,7 +43,10 @@ EXPORT_BLOCK = 512
 
 def _load_doc(path):
     with open(path) as f:
-        return json.load(f)
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise scenarios.ScenarioFormatError("document must be a JSON object")
+    return doc
 
 
 def _strict(x):
@@ -76,17 +79,9 @@ def _emit(obj):
 # -- design -----------------------------------------------------------------
 
 def cmd_design(args):
-    try:
-        doc = _load_doc(args.file)
-        model = scenarios.parse_model(doc)
-        sec = doc.get("design")
-        if sec is None:
-            raise scenarios.ScenarioFormatError("design section with lambda and mu required")
-        design = riccati_design(model, lam=float(sec["lambda"]), mu=float(sec["mu"]))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            scenarios.ScenarioFormatError, DesignError) as exc:
-        _emit({"error": str(exc)})
-        return EXIT_INVALID
+    doc = _load_doc(args.file)
+    model = scenarios.parse_model(scenarios.section(doc, "model"))
+    design = riccati_design(model, *scenarios.parse_design(scenarios.section(doc, "design")))
     _emit({"P": design.P.tolist(), "K": design.K.tolist(),
            "mu": design.mu, "lambda": design.lam,
            "residual": riccati_residual(design, model)})
@@ -96,61 +91,71 @@ def cmd_design(args):
 # -- bound ------------------------------------------------------------------
 
 def _query_from_doc(doc):
-    sec = doc.get("query")
-    if sec is None:
-        raise scenarios.ScenarioFormatError("abstract theorems need a 'query' section")
-    return BoundQuery(mu=float(sec["mu"]), eps=float(sec["eps"]),
-                      omega=float(sec.get("omega", 0.0)),
-                      lambda_As=float(sec.get("lambda_As", 0.0)),
-                      sigma_A=float(sec.get("sigma_A", 0.0)),
-                      sigma_G=float(sec.get("sigma_G", 0.0)),
-                      sigma_K=float(sec.get("sigma_K", 0.0)),
-                      tau_in=float(sec.get("tau_in", 0.0)))
+    """The 'query' section as a BoundQuery; each of its keys must name a
+    field of BoundQuery."""
+    sec = scenarios.section(doc, "query")
+    if not isinstance(sec, dict):
+        raise scenarios.ScenarioFormatError("the 'query' section must be an object")
+    return BoundQuery(**{key: float(value) for key, value in sec.items()})
 
 
-def _pipeline_inputs(doc):
-    model = scenarios.parse_model(doc)
-    graph = scenarios.parse_graph(doc)
-    algebra = build_algebra(graph)
-    sec = doc.get("design")
-    if sec is None:
-        raise scenarios.ScenarioFormatError("graph theorems need a 'design' section")
-    design = riccati_design(model, lam=float(sec["lambda"]), mu=float(sec["mu"]))
-    return model, design, algebra
+def _pipeline_inputs(doc, s=None):
+    """(model, design, algebra) of the graph theorems. The design of the
+    document's parsed scenario s is the one its Riccati equation gave, so
+    the equation is not solved again."""
+    lam, mu = scenarios.parse_design(scenarios.section(doc, "design"))
+    if s is not None:
+        design = GainDesign(P=s.lyapunov_P, K=s.gain, mu=mu, lam=lam)
+        return s.model, design, build_algebra(s.graph)
+    model = scenarios.parse_model(scenarios.section(doc, "model"))
+    graph = scenarios.parse_graph(scenarios.section(doc, "graph"))
+    return model, riccati_design(model, lam, mu), build_algebra(graph)
 
 
-def _bound(doc, theorem) -> dict:
+def _theorem4(doc, s, h=None, tau=None, delta_e=None, alpha=0.5, gamma=3.188,
+              eta=1.6, theta=1.0 + 1e-9):
+    """Theorem 4's report. The keywords are the keys of the 'bound_params'
+    section; h, tau and delta_e default to the schedule's h_max and tau_max
+    and to the error model's cap (event trigger) or delta_e."""
+    model, design, algebra = _pipeline_inputs(doc, s)
+    sched = scenarios.parse_schedule(doc.get("schedule"))
+    em = scenarios.parse_error_model(doc.get("error_model"))
+    if h is None:
+        h = sched.h_max if sched else 0.0
+    if tau is None:
+        tau = sched.tau_max if sched else 0.0
+    if delta_e is None:
+        delta_e = (em.cap if em.kind == "event_trigger" else em.delta_e) or 0.0
+    x0 = np.asarray(doc.get("x0", np.zeros(algebra.graph.n * model.N)), dtype=float)
+    x0_sum = x0.reshape(algebra.graph.n, model.N).sum(axis=0)
+    return bounds.theorem4_report(
+        model, design, algebra, float(h), float(tau), float(delta_e), x0_sum,
+        float(alpha), float(gamma), float(eta), float(theta))
+
+
+def _bound(doc, theorem, s=None) -> dict:
     """Report of one theorem or corollary on a document: the output of
     `bound`, the budget behind a `run` warning and the `reproduce` goldens.
-    bounds is read at call time, so its functions can be wrapped."""
+    s is the document's parsed scenario, when there is one. bounds is read
+    at call time, so its functions can be wrapped."""
     if theorem == "4":
-        model, design, algebra = _pipeline_inputs(doc)
-        sec, em = doc.get("bound_params", {}), doc.get("error_model", {})
-        h = float(sec.get("h", doc.get("schedule", {}).get("h_max", 0.0)))
-        tau = float(sec.get("tau", doc.get("schedule", {}).get("tau_max", 0.0)))
-        delta_e = float(sec.get("delta_e", em.get("cap", em.get("delta_e", 0.0)) or 0.0))
-        x0 = np.asarray(doc.get("x0", np.zeros(algebra.graph.n * model.N)), dtype=float)
-        x0_sum = x0.reshape(algebra.graph.n, model.N).sum(axis=0)
-        return bounds.theorem4_report(
-            model, design, algebra, h, tau, delta_e, x0_sum,
-            float(sec.get("alpha", 0.5)), float(sec.get("gamma", 3.188)),
-            float(sec.get("eta", 1.6)), float(sec.get("theta", 1.0 + 1e-9)))
+        return _theorem4(doc, s, **doc.get("bound_params", {}))
     if theorem == "3":
-        report = bounds.theorem3_budget(build_algebra(scenarios.parse_graph(doc)))
+        graph = scenarios.parse_graph(scenarios.section(doc, "graph"))
+        report = bounds.theorem3_budget(build_algebra(graph))
     elif theorem == "2":
-        inputs = _pipeline_inputs(doc)
-        em = doc.get("error_model", {})
-        omega = em["omega"] if em.get("kind") == "multiplicative" else doc.get("omega", 0.0)
-        report = bounds.theorem2_budget(*inputs, omega=float(omega))
+        em = scenarios.parse_error_model(doc.get("error_model"))
+        omega = em.omega if em.kind == "multiplicative" else doc.get("omega", 0.0)
+        report = bounds.theorem2_budget(*_pipeline_inputs(doc, s), omega=float(omega))
     elif theorem == "c1":
-        em = doc.get("error_model", {})
-        if em.get("kind") == "log_quantizer":
-            level = float(em["level"])
+        em = scenarios.parse_error_model(doc.get("error_model"))
+        if em.kind == "log_quantizer":
+            level = em.quant_level
         elif "quant_level" in doc:
             level = float(doc["quant_level"])
         else:
             raise scenarios.ScenarioFormatError("corollary 1 needs a quantizer level")
-        inputs = _pipeline_inputs(doc) if "graph" in doc else (_query_from_doc(doc),)
+        inputs = _pipeline_inputs(doc, s) if "graph" in doc else (_query_from_doc(doc),)
         report = bounds.corollary1_budget(*inputs, quant_level=level)
     else:
         report = {"1": bounds.theorem1_budget, "c2": bounds.corollary2_budget,
@@ -159,15 +164,7 @@ def _bound(doc, theorem) -> dict:
 
 
 def cmd_bound(args):
-    try:
-        report = _bound(_load_doc(args.file), args.theorem)
-    except (InfeasibleError, SetMembershipError) as exc:
-        _emit({"feasible": False, "error": str(exc)})
-        return EXIT_INFEASIBLE
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            scenarios.ScenarioFormatError, DesignError) as exc:
-        _emit({"error": str(exc)})
-        return EXIT_INVALID
+    report = _bound(_load_doc(args.file), args.theorem)
     _emit(report)
     return EXIT_OK if report["feasible"] else EXIT_INFEASIBLE
 
@@ -187,9 +184,8 @@ def _budget_warning(doc, s):
     else:
         return None
     try:
-        report = _bound(doc, theorem)
-    except (InfeasibleError, SetMembershipError, DesignError,
-            scenarios.ScenarioFormatError, ValueError):
+        report = _bound(doc, theorem, s)
+    except (InfeasibleError, ValueError):
         return None
     if not report["feasible"]:
         return "budget exceeded: no lag is certified for this configuration"
@@ -231,10 +227,9 @@ def write_event_log(trace, path):
         f.write("]\n")
 
 
-def _run_one(s, warning, outdir, tag):
-    start = time.perf_counter()
-    trace = run(s)
-    runtime = time.perf_counter() - start
+def _run_report(trace, runtime, warning, outdir, tag):
+    """Write one run's trace and event log; returns its report entry."""
+    s = trace.scenario
     m = metrics(trace)
     csv_path = os.path.join(outdir, f"trace{tag}.csv")
     events_path = os.path.join(outdir, f"events{tag}.json")
@@ -260,33 +255,36 @@ def _sweep_seeds(doc):
             isinstance(sd, int) and not isinstance(sd, bool) for sd in seeds)):
         raise scenarios.ScenarioFormatError(
             "sweep must be an object whose seeds is a non-empty list of integers")
+    repeated = [sd for i, sd in enumerate(seeds) if sd in seeds[:i]]
+    if repeated:
+        # each seed names its output files
+        raise scenarios.ScenarioFormatError(
+            f"sweep seeds must be distinct; seed {repeated[0]} is repeated")
     return seeds
 
 
 def cmd_run(args):
-    try:
-        doc = _load_doc(args.file)
-        s = scenarios.parse_scenario(doc)
-        if args.seed is not None:
-            s = replace(s, seed=args.seed)
-        if args.tol is not None:
-            s = replace(s, consensus_tol=args.tol)
-        sweep = _sweep_seeds(doc)
-    except (OSError, json.JSONDecodeError, scenarios.ScenarioFormatError,
-            ScenarioError, ValueError) as exc:
-        _emit({"error": str(exc)})
-        return EXIT_INVALID
+    doc = _load_doc(args.file)
+    s = scenarios.parse_scenario(doc)
+    if args.seed is not None:
+        s = replace(s, seed=args.seed)
+    sweep = _sweep_seeds(doc)
     os.makedirs(args.out, exist_ok=True)
     # Budgets do not depend on the seed: one verdict serves every run.
     warning = _budget_warning(doc, s)
     # A single run is a sweep of its own seed whose files carry no tag.
     seeds, tag = ([s.seed], "") if sweep is None else (sweep, "_seed{}")
-    try:
-        runs = [_run_one(replace(s, seed=sd), warning, args.out, tag.format(sd))
-                for sd in seeds]
-    except RUN_ERRORS as exc:
-        _emit({"error": str(exc)})
-        return EXIT_RUNTIME
+    runs = []
+    for sd in seeds:
+        start = time.perf_counter()
+        try:
+            trace = run(replace(s, seed=sd))
+        except RUN_ERRORS as exc:
+            _emit({"error": str(exc)})
+            return EXIT_RUNTIME
+        runs.append(_run_report(trace, time.perf_counter() - start, warning,
+                                args.out, tag.format(sd)))
+        del trace  # free it before the next seed runs: a trace is large
     report = runs[0] if sweep is None else {"runs": runs}
     report_path = os.path.join(args.out, "report.json")
     with open(report_path, "w") as f:
@@ -307,13 +305,11 @@ GOLDEN_KEYS = {"budget_c1": "budget", "budget_thm3": "budget",
 
 def cmd_reproduce(args):
     number = int(args.example)
-    try:
-        doc, goldens = scenarios.builtin_example(number, seed=args.seed or 0)
-    except ValueError as exc:
-        _emit({"error": str(exc)})
-        return EXIT_INVALID
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    doc, goldens = scenarios.builtin_example(number, seed=args.seed or 0)
     s = scenarios.parse_scenario(doc)
-    bound = _bound(doc, GOLDEN_THEOREM[number])
+    bound = _bound(doc, GOLDEN_THEOREM[number], s)
     computed = {**bound, **bound.get("details", {}), "K": s.gain.ravel().tolist()}
     rows = []
     all_pass = True
@@ -338,7 +334,6 @@ def cmd_reproduce(args):
               "consensus": m["consensus"],
               "final_delta_sq": m["final_delta_sq"]}
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         write_trace_csv(trace, os.path.join(args.out, f"example{number}.csv"))
         with open(os.path.join(args.out, f"example{number}_report.json"), "w") as f:
             _dump(report, f)
@@ -356,8 +351,6 @@ def build_parser():
     ap.add_argument("--seed", type=int, default=None,
                     help="override the scenario's random seed (run); the seed "
                          "of the built-in example (reproduce, default 0)")
-    ap.add_argument("--tol", type=float, default=None,
-                    help="override consensus tolerance")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="solve the Riccati gain design")
@@ -383,8 +376,18 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; the one place that maps an input or infeasibility
+    error to its exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InfeasibleError, SetMembershipError) as exc:
+        _emit({"feasible": False, "error": str(exc)})
+        return EXIT_INFEASIBLE
+    except (OSError, ValueError, KeyError, TypeError, DesignError) as exc:
+        # JSON decode, scenario and schedule errors are ValueErrors
+        _emit({"error": str(exc)})
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -5,6 +5,8 @@ A scenario document is a JSON object with sections
     schedule:{h_min, h_max, tau_max} | schedules:[...],
     error_model, saturation, input_delay, x0, horizon, seed
 plus optional bound-query sections used by the `bound` subcommand.
+The section readers take the section's value; a null section is an absent
+one.
 """
 
 from __future__ import annotations
@@ -13,147 +15,121 @@ import json
 
 import numpy as np
 
-from .design import GainDesign, riccati_design
+from .design import DesignError, riccati_design
 from .graphs import (InteractionGraph, build_algebra, cycle_graph, path_graph,
                      star_graph)
 from .matan import LtiModel
 from .sampling import ChannelSchedule, ErrorModel
-from .sim import Scenario, ScenarioError, ScheduleParams
+from .sim import Scenario, ScheduleParams
 
 
 class ScenarioFormatError(ValueError):
     """Malformed or incomplete scenario document."""
 
 
-def _require(doc, key):
-    if key not in doc:
-        raise ScenarioFormatError(f"scenario is missing the {key!r} section")
+def section(doc, key):
+    """The document's `key` section, which must be present and not null."""
+    if doc.get(key) is None:
+        raise ScenarioFormatError(f"document is missing the {key!r} section")
     return doc[key]
 
 
-def parse_model(doc) -> LtiModel:
-    sec = _require(doc, "model")
-    try:
-        A = np.asarray(sec["A"], dtype=float)
-        B = np.asarray(sec["B"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"bad model section: {exc}") from exc
-    return LtiModel(A=A, B=B)
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
-def parse_graph(doc) -> InteractionGraph:
-    sec = _require(doc, "graph")
-    if "cycle" in sec:
-        return cycle_graph(int(sec["cycle"]))
-    if "path" in sec:
-        return path_graph(int(sec["path"]))
-    if "star" in sec:
-        return star_graph(int(sec["star"]))
-    try:
-        edges = tuple((int(i), int(j)) for i, j in sec["edges"])
-        return InteractionGraph(n=int(sec["n"]), edges=edges)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"bad graph section: {exc}") from exc
+def parse_model(sec) -> LtiModel:
+    return LtiModel(A=_floats(sec["A"]), B=_floats(sec["B"]))
 
 
-def parse_error_model(doc) -> ErrorModel:
-    sec = doc.get("error_model")
+def parse_graph(sec) -> InteractionGraph:
+    for shape, build in (("cycle", cycle_graph), ("path", path_graph), ("star", star_graph)):
+        if shape in sec:
+            return build(int(sec[shape]))
+    return InteractionGraph(n=int(sec["n"]),
+                            edges=tuple((int(i), int(j)) for i, j in sec["edges"]))
+
+
+def parse_design(sec) -> tuple[float, float]:
+    """(lambda, mu): the weights of the Riccati gain design."""
+    return float(sec["lambda"]), float(sec["mu"])
+
+
+def parse_schedule(sec) -> ScheduleParams | None:
+    if sec is None:
+        return None
+    return ScheduleParams(h_min=float(sec["h_min"]), h_max=float(sec["h_max"]),
+                          tau_max=float(sec["tau_max"]))
+
+
+def parse_schedules(sec) -> tuple[ChannelSchedule, ...]:
+    return tuple(ChannelSchedule(channel_id=int(s["channel_id"]),
+                                 sample_instants=_floats(s["sample_instants"]),
+                                 delays=_floats(s["delays"]))
+                 for s in sec)
+
+
+def parse_error_model(sec) -> ErrorModel:
     if sec is None:
         return ErrorModel.none()
+    if not isinstance(sec, dict):
+        raise TypeError("an error model must be an object")
     kind = sec.get("kind", "none")
-    try:
-        if kind == "none":
-            return ErrorModel.none()
-        if kind == "multiplicative":
-            return ErrorModel.multiplicative(float(sec["omega"]),
-                                             adversarial=bool(sec.get("adversarial", False)))
-        if kind == "additive":
-            return ErrorModel.additive(float(sec["delta_e"]),
-                                       adversarial=bool(sec.get("adversarial", False)))
-        if kind == "log_quantizer":
-            return ErrorModel.log_quantizer(float(sec["level"]))
-        if kind == "event_trigger":
-            cap = sec.get("cap")
-            return ErrorModel.event_trigger(float(sec["omega"]),
-                                            float(sec["dwell"]),
-                                            cap=None if cap is None else float(cap))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"bad error_model section: {exc}") from exc
-    raise ScenarioFormatError(f"unknown error model kind {kind!r}")
+    if kind == "none":
+        return ErrorModel.none()
+    if kind == "multiplicative":
+        return ErrorModel.multiplicative(float(sec["omega"]),
+                                         adversarial=bool(sec.get("adversarial", False)))
+    if kind == "additive":
+        return ErrorModel.additive(float(sec["delta_e"]),
+                                   adversarial=bool(sec.get("adversarial", False)))
+    if kind == "log_quantizer":
+        return ErrorModel.log_quantizer(float(sec["level"]))
+    if kind == "event_trigger":
+        cap = sec.get("cap")
+        return ErrorModel.event_trigger(float(sec["omega"]), float(sec["dwell"]),
+                                        cap=None if cap is None else float(cap))
+    raise ValueError(f"unknown error model kind {kind!r}")
 
 
-def resolve_gain(doc, model: LtiModel) -> tuple[np.ndarray, GainDesign | None]:
-    """Exactly one of 'gain' / 'design' must be present; returns (K, design)."""
-    has_gain, has_design = "gain" in doc, "design" in doc
-    if has_gain == has_design:
-        raise ScenarioFormatError("exactly one of 'gain' and 'design' is required")
-    if has_gain:
-        return np.asarray(doc["gain"], dtype=float), None
-    sec = doc["design"]
-    try:
-        design = riccati_design(model, lam=float(sec["lambda"]), mu=float(sec["mu"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"bad design section: {exc}") from exc
-    return design.K, design
+def _saturation(sec) -> float:
+    return float(sec["rho_s"] if isinstance(sec, dict) else sec)
 
 
 def parse_scenario(doc) -> Scenario:
+    """The scenario a document describes. Each Scenario field is read from
+    the section of its name, except that a design section gives the gain
+    and lyapunov_P. An error raised while reading a section becomes a
+    ScenarioFormatError that names the section; one raised because the
+    sections do not fit together keeps the scenario's message. Both are
+    chained to the original error."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
-    model = parse_model(doc)
-    mode = _require(doc, "mode")
-    gain, design = resolve_gain(doc, model)
-    graph = parse_graph(doc) if "graph" in doc else None
-    coupling = (np.asarray(doc["coupling"], dtype=float)
-                if "coupling" in doc else None)
-    schedule = None
-    schedules = None
-    if "schedule" in doc:
-        sec = doc["schedule"]
-        try:
-            schedule = ScheduleParams(h_min=float(sec["h_min"]),
-                                      h_max=float(sec["h_max"]),
-                                      tau_max=float(sec["tau_max"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioFormatError(f"bad schedule section: {exc}") from exc
-    elif "schedules" in doc:
-        schedules = tuple(
-            ChannelSchedule(channel_id=int(s["channel_id"]),
-                            sample_instants=np.asarray(s["sample_instants"], dtype=float),
-                            delays=np.asarray(s["delays"], dtype=float))
-            for s in doc["schedules"])
-    sat = doc.get("saturation")
-    if isinstance(sat, dict):
-        sat = sat.get("rho_s")
-    P = None
-    if design is not None:
-        P = design.P
-    elif "lyapunov_P" in doc:
-        P = np.asarray(doc["lyapunov_P"], dtype=float)
+    for key in ("model", "mode", "x0", "horizon"):
+        section(doc, key)
+    if (doc.get("gain") is None) == (doc.get("design") is None):
+        raise ScenarioFormatError("exactly one of 'gain' and 'design' is required")
+    fields = {}
     try:
-        return Scenario(
-            mode=mode,
-            model=model,
-            gain=gain,
-            x0=np.asarray(_require(doc, "x0"), dtype=float),
-            horizon=float(_require(doc, "horizon")),
-            seed=int(doc.get("seed", 0)),
-            graph=graph,
-            coupling=coupling,
-            schedule=schedule,
-            schedules=schedules,
-            error_model=parse_error_model(doc),
-            saturation=None if sat is None else float(sat),
-            input_delay=float(doc.get("input_delay", 0.0)),
-            lyapunov_P=P,
-            startup=doc.get("startup", "zero"),
-            snapshot_points=int(doc.get("snapshot_points", 1000)),
-            stop_at_consensus=bool(doc.get("stop_at_consensus", False)),
-            consensus_tol=(None if doc.get("consensus_tol") is None
-                           else float(doc["consensus_tol"])),
-        )
-    except ScenarioError as exc:
-        raise ScenarioFormatError(str(exc)) from exc
+        for key, read in (("model", parse_model), ("mode", str), ("x0", _floats),
+                          ("horizon", float), ("seed", int), ("graph", parse_graph),
+                          ("coupling", _floats), ("schedule", parse_schedule),
+                          ("schedules", parse_schedules),
+                          ("error_model", parse_error_model),
+                          ("saturation", _saturation), ("input_delay", float),
+                          ("lyapunov_P", _floats), ("startup", str),
+                          ("snapshot_points", int), ("stop_at_consensus", bool),
+                          ("consensus_tol", float), ("gain", _floats)):
+            if doc.get(key) is not None:
+                fields[key] = read(doc[key])
+        if doc.get("design") is not None:
+            key = "design"
+            design = riccati_design(fields["model"], *parse_design(doc["design"]))
+            fields.update(gain=design.K, lyapunov_P=design.P)
+        key = None
+        return Scenario(**fields)
+    except (KeyError, TypeError, ValueError, DesignError) as exc:
+        raise ScenarioFormatError(f"bad {key} section: {exc}" if key else str(exc)) from exc
 
 
 def serialize_scenario(s: Scenario) -> dict:

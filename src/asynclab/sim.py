@@ -107,6 +107,12 @@ class Scenario:
             raise ScenarioError("horizon must be finite and nonnegative")
         if self.input_delay < 0:
             raise ScenarioError("input delay must be nonnegative")
+        if self.mode == "saturated":
+            if self.saturation is None or not 0 < self.saturation < math.inf:
+                raise ScenarioError("saturated mode needs a finite, positive saturation")
+        elif self.saturation is not None:
+            raise ScenarioError(f"saturation applies only to the saturated mode, "
+                                f"not to {self.mode}")
         N = self.model.N
         if self.mode in ("relative_edges", "broadcast"):
             if self.graph is None:
@@ -137,6 +143,9 @@ class Scenario:
             if (self.mode == "broadcast" and self.schedule is not None
                     and em.dwell > self.schedule.h_min + 1e-12):
                 raise ScenarioError("dwell time must not exceed the minimum sampling gap")
+        if self.schedule is not None and self.schedules is not None:
+            raise ScenarioError("a scenario takes schedule parameters or explicit "
+                                "schedules, not both")
         if not self.monitored and self.schedule is None and self.schedules is None:
             raise ScenarioError("scenario needs schedule parameters or explicit schedules")
         if self.schedules is not None and len(self.schedules) != self.n_channels:
@@ -231,11 +240,20 @@ class Propagator:
             small = np.abs(wd) < 1e-8
             phiw = np.where(small, dts * (1.0 + wd / 2.0 + wd * wd / 6.0),
                             (ew - 1.0) / np.where(small, 1.0, self.w))
-            expA = (self.V * ew[:, None, :]) @ self.Vi
-            phi = (self.V * phiw[:, None, :]) @ self.Vi
-            return expA.real, phi.real
+            return self._modal(ew), self._modal(phiw)
         E = sla.expm(self._blk * dts[:, :, None])
         return E[:, : self.n, : self.n], E[:, : self.n, self.n:]
+
+    def exps(self, ts) -> np.ndarray:
+        """Stacked e^{A t} of a 1-d sequence of times: bit for bit
+        pairs(ts)[0], without the modal branch's Phi stack."""
+        if not self._diag:
+            return self.pairs(ts)[0]
+        return self._modal(np.exp(np.asarray(ts, dtype=float)[:, None] * self.w))
+
+    def _modal(self, f):
+        """The real matrices V diag(f[k]) V^-1 for each row f[k]."""
+        return ((self.V * f[:, None, :]) @ self.Vi).real
 
 
 class _Engine:
@@ -391,7 +409,7 @@ class _Engine:
             sl = slice(self.n_settled, min(end, self.n_settled + FLOW_CHUNK))
             t, X = self.row_t[sl], self.row_x[sl]
             if self.consensus_mode:
-                X = X - (self.prop.pairs(t)[0] @ self.kappa0)[:, None, :]
+                X = X - (self.prop.exps(t) @ self.kappa0)[:, None, :]
             dsq = np.sum((X * X).reshape(len(t), -1), axis=1)
             bad = np.flatnonzero(~np.isfinite(dsq))
             if len(bad):
@@ -416,7 +434,7 @@ class _Engine:
         due, self.deliveries = self.deliveries[:n], self.deliveries[n:]
         levels = [self.tilde_sq]
         if due:
-            kappa = self.prop.pairs([d[3] for d in due])[0] @ self.kappa0
+            kappa = self.prop.exps([d[3] for d in due]) @ self.kappa0
             for (_, ch, value, _), k in zip(due, kappa):
                 self.delta_tilde[ch] = value - k
                 levels.append(float((self.delta_tilde ** 2).sum()))
@@ -708,7 +726,6 @@ def average_state_error(trace: Trace) -> float:
     means = trace.states.reshape(-1, n, N).mean(axis=1)
     worst = 0.0
     for sl in _chunks(len(trace.t)):
-        expA, _ = prop.pairs(trace.t[sl])
-        drift = np.linalg.norm(means[sl] - expA @ mean0, axis=1)
+        drift = np.linalg.norm(means[sl] - prop.exps(trace.t[sl]) @ mean0, axis=1)
         worst = max(worst, float(drift.max(initial=0.0)))
     return worst

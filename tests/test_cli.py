@@ -258,6 +258,65 @@ def test_run_malformed_sweep_exits_2(ex_file, tmp_path, capsys, sweep):
     assert not out_dir.exists()
 
 
+def _doc(example, **overrides):
+    doc, _ = builtin_example(example)
+    doc.update(horizon=1.0, **overrides)
+    return doc
+
+
+def _without_schedule(doc, **overrides):
+    del doc["schedule"]
+    doc.update(overrides)
+    return doc
+
+
+TWO_UNITS = {"mode": "saturated", "coupling": [[1.0, -1.0], [-1.0, 1.0]], "x0": [1.0, -1.0]}
+
+
+# Inputs that ended in a traceback or ran with a silently wrong reading.
+@pytest.mark.parametrize("command, doc, code", [
+    ("run", _doc(1, design={"lambda": -1.0, "mu": 1.0}), 2),
+    ("run", _without_schedule(_doc(2), schedules=[
+        {"channel_id": ch, "sample_instants": [0.1]} for ch in range(5)]), 2),
+    ("run", _doc(2, schedules=[{"channel_id": ch, "sample_instants": [0.1], "delays": [0.0]}
+                               for ch in range(5)]), 2),
+    ("run", _doc(2, seed=[1]), 2),
+    ("run", _doc(2, graph={"cycle": [5]}), 2),
+    ("run", _doc(2, error_model=[1]), 2),
+    ("run", _doc(2, sweep={"seeds": [1, 1]}), 2),
+    ("run", _doc(2, **TWO_UNITS), 2),
+    ("run", _doc(2, **TWO_UNITS, saturation=-1.0), 2),
+    ("run", _doc(2, saturation=1.0), 2),
+    ("run into a file", _doc(2), 2),
+    ("reproduce into a file", None, 2),
+    ("bound 1", {"query": {"mu": 1, "eps": 1, "omega": 0.01, "sigmaA": 5,
+                           "sigma_G": 1, "sigma_K": 1}}, 2),
+    ("bound 4", _doc(3, bound_params={"alhpa": 0.4}), 2),
+    ("bound 2", _doc(1, error_model=[1]), 2),
+], ids=["negative_design_lambda", "schedule_without_delays", "schedule_and_schedules",
+        "seed_not_an_integer", "cycle_size_not_an_integer", "error_model_not_an_object",
+        "repeated_sweep_seed",
+        "saturated_without_saturation", "negative_saturation", "saturation_outside_saturated",
+        "run_out_names_a_file", "reproduce_out_names_a_file", "query_key_typo",
+        "bound_params_key_typo", "bound_error_model_not_an_object"])
+def test_exit_codes(tmp_path, capsys, command, doc, code):
+    path, out_dir = tmp_path / "doc.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    if command.endswith("into a file"):
+        out_dir.write_text("")
+    if command.startswith("run"):
+        argv = ["run", str(path), "--out", str(out_dir)]
+    elif command.startswith("reproduce"):
+        argv = ["reproduce", "--example", "2", "--out", str(out_dir)]
+    else:
+        argv = ["bound", str(path), "--theorem", command.split()[1]]
+    got, out = run_cli(capsys, *argv)
+    assert got == code
+    assert "error" in _strict_loads(out)
+    if command == "run":
+        assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("flags, seed", [([], 2), (["--seed", "7"], 7), (["--seed", "0"], 0)],
                          ids=["scenario_seed", "override", "override_with_0"])
 def test_run_seed_flag(ex_file, tmp_path, capsys, flags, seed):
@@ -333,19 +392,44 @@ def test_sweep_matches_single_runs(ex_file, tmp_path, capsys):
         assert swept == one
 
 
-def test_sweep_certifies_the_budget_once(ex_file, tmp_path, capsys, monkeypatch):
-    from asynclab import cli
-    calls = {"riccati_design": 0, "_bound": 0}
-    for name in calls:
-        def counted(*args, _name=name, _inner=getattr(cli, name), **kwargs):
+def _count_calls(monkeypatch, *targets):
+    """Counts of the calls to module.name per name, over all (module, name)
+    targets; a function bound in two modules is counted under one name."""
+    calls = {name: 0 for _, name in targets}
+    for module, name in targets:
+        def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _inner(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_certifies_the_budget_once(ex_file, tmp_path, capsys, monkeypatch):
+    from asynclab import cli, scenarios
+    calls = _count_calls(monkeypatch, (cli, "riccati_design"), (scenarios, "riccati_design"),
+                         (cli, "_bound"))
     code, out = run_cli(capsys, "run", ex_file(1, horizon=0.5, sweep={"seeds": [1, 2, 3, 4]}),
                         "--out", str(tmp_path / "sweep"))
     assert code == 0
     assert len(json.loads(out)["runs"]) == 4
     assert calls == {"riccati_design": 1, "_bound": 1}
+
+
+@pytest.mark.parametrize("command", ["run", "reproduce1", "reproduce3"])
+def test_one_riccati_solve_per_document(ex_file, tmp_path, capsys, monkeypatch, command):
+    from asynclab import cli, scenarios
+    example = scenarios.builtin_example
+
+    def short(number, seed):
+        doc, goldens = example(number, seed=seed)
+        return dict(doc, horizon=0.5), goldens
+    monkeypatch.setattr(scenarios, "builtin_example", short)
+    calls = _count_calls(monkeypatch, (cli, "riccati_design"), (scenarios, "riccati_design"))
+    argv = (["run", ex_file(1, horizon=0.5), "--out", str(tmp_path / "o")] if command == "run"
+            else ["reproduce", "--example", command[-1]])
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == {"riccati_design": 1}
 
 
 def test_run_divergence_exits_4_without_trace(ex_file, tmp_path, capsys):

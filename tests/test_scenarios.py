@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from asynclab import scenarios
+from asynclab.design import DesignError
 from asynclab.scenarios import (ScenarioFormatError, builtin_example,
                                 load_scenario, parse_scenario, save_scenario,
                                 serialize_scenario)
@@ -77,6 +78,20 @@ def test_missing_sections_rejected():
     doc["error_model"] = {"kind": "wat"}
     with pytest.raises(ScenarioFormatError):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("section, value, cause", [
+    ("seed", [1], TypeError), ("graph", {"cycle": [5]}, TypeError),
+    ("schedules", [{"channel_id": 0, "sample_instants": [0.1]}], KeyError),
+    ("design", {"lambda": -1.0, "mu": 1.0}, DesignError),
+    ("error_model", {"kind": "log_quantizer", "level": 0.5}, ValueError),
+])
+def test_bad_section_is_named(section, value, cause):
+    doc, _ = builtin_example(1)
+    doc[section] = value
+    with pytest.raises(ScenarioFormatError, match=f"bad {section} section") as info:
+        parse_scenario(doc)
+    assert type(info.value.__cause__) is cause
 
 
 def test_graph_shorthands():

@@ -477,6 +477,17 @@ def test_delta_sq_follows_the_closed_form_mean():
         assert np.max(np.abs(tr.delta_sq - _delta_sq_formula(tr))) <= 1e-14
 
 
+@pytest.mark.parametrize("A", [[[0.0, 1.0], [-1.0, 0.0]], [[0.0]], [[-0.3, 2.0], [0.0, 0.1]],
+                               [[0.0, 1.0], [0.0, 0.0]]],
+                         ids=["oscillator", "integrator", "diagonalizable", "defective"])
+def test_exps_are_the_exponentials_of_pairs(A):
+    # settle, the delta_tilde column and average_state_error take kappa(t)
+    # from exps; it must give the bits that pairs gave them.
+    prop = sim.Propagator(A)
+    ts = np.concatenate([np.linspace(0.0, 40.0, 997), [1e-12, 5e-9, -0.25]])
+    assert np.array_equal(prop.exps(ts), prop.pairs(ts)[0])
+
+
 def _consensus_reference(t, delta_sq, tol):
     """The consensus watch row by row: (consensus time, its row or None)."""
     below_since = consensus = row = None
