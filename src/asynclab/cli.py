@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import bounds, scenarios
-from .bounds import BoundQuery, InfeasibleError, SetMembershipError
+from .bounds import InfeasibleError, SetMembershipError
 from .design import DesignError, GainDesign, riccati_design, riccati_residual
 from .graphs import build_algebra
 from .sampling import ScheduleError
@@ -39,14 +39,6 @@ RUN_ERRORS = (ScheduleError, RuntimeError, OverflowError)
 # Trace rows or events per encoded block of an export file: one write each,
 # and memory that stays flat in the length of the run.
 EXPORT_BLOCK = 512
-
-
-def _load_doc(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise scenarios.ScenarioFormatError("document must be a JSON object")
-    return doc
 
 
 def _strict(x):
@@ -79,9 +71,9 @@ def _emit(obj):
 # -- design -----------------------------------------------------------------
 
 def cmd_design(args):
-    doc = _load_doc(args.file)
-    model = scenarios.parse_model(scenarios.section(doc, "model"))
-    design = riccati_design(model, *scenarios.parse_design(scenarios.section(doc, "design")))
+    doc = scenarios.load_document(args.file)
+    model = scenarios.read(doc, "model", required=True)
+    design = riccati_design(model, *scenarios.read(doc, "design", required=True))
     _emit({"P": design.P.tolist(), "K": design.K.tolist(),
            "mu": design.mu, "lambda": design.lam,
            "residual": riccati_residual(design, model)})
@@ -90,25 +82,16 @@ def cmd_design(args):
 
 # -- bound ------------------------------------------------------------------
 
-def _query_from_doc(doc):
-    """The 'query' section as a BoundQuery; each of its keys must name a
-    field of BoundQuery."""
-    sec = scenarios.section(doc, "query")
-    if not isinstance(sec, dict):
-        raise scenarios.ScenarioFormatError("the 'query' section must be an object")
-    return BoundQuery(**{key: float(value) for key, value in sec.items()})
-
-
 def _pipeline_inputs(doc, s=None):
     """(model, design, algebra) of the graph theorems. The design of the
     document's parsed scenario s is the one its Riccati equation gave, so
     the equation is not solved again."""
-    lam, mu = scenarios.parse_design(scenarios.section(doc, "design"))
+    lam, mu = scenarios.read(doc, "design", required=True)
     if s is not None:
         design = GainDesign(P=s.lyapunov_P, K=s.gain, mu=mu, lam=lam)
         return s.model, design, build_algebra(s.graph)
-    model = scenarios.parse_model(scenarios.section(doc, "model"))
-    graph = scenarios.parse_graph(scenarios.section(doc, "graph"))
+    model = scenarios.read(doc, "model", required=True)
+    graph = scenarios.read(doc, "graph", required=True)
     return model, riccati_design(model, lam, mu), build_algebra(graph)
 
 
@@ -118,19 +101,18 @@ def _theorem4(doc, s, h=None, tau=None, delta_e=None, alpha=0.5, gamma=3.188,
     section; h, tau and delta_e default to the schedule's h_max and tau_max
     and to the error model's cap (event trigger) or delta_e."""
     model, design, algebra = _pipeline_inputs(doc, s)
-    sched = scenarios.parse_schedule(doc.get("schedule"))
-    em = scenarios.parse_error_model(doc.get("error_model"))
+    sched = scenarios.read(doc, "schedule")
+    em = scenarios.read(doc, "error_model")
     if h is None:
         h = sched.h_max if sched else 0.0
     if tau is None:
         tau = sched.tau_max if sched else 0.0
     if delta_e is None:
         delta_e = (em.cap if em.kind == "event_trigger" else em.delta_e) or 0.0
-    x0 = np.asarray(doc.get("x0", np.zeros(algebra.graph.n * model.N)), dtype=float)
-    x0_sum = x0.reshape(algebra.graph.n, model.N).sum(axis=0)
-    return bounds.theorem4_report(
-        model, design, algebra, float(h), float(tau), float(delta_e), x0_sum,
-        float(alpha), float(gamma), float(eta), float(theta))
+    x0 = scenarios.read(doc, "x0", shape=(algebra.graph.n, model.N))
+    x0_sum = np.zeros(model.N) if x0 is None else x0.sum(axis=0)
+    return bounds.theorem4_report(model, design, algebra, h, tau, delta_e, x0_sum,
+                                  alpha, gamma, eta, theta)
 
 
 def _bound(doc, theorem, s=None) -> dict:
@@ -139,32 +121,32 @@ def _bound(doc, theorem, s=None) -> dict:
     s is the document's parsed scenario, when there is one. bounds is read
     at call time, so its functions can be wrapped."""
     if theorem == "4":
-        return _theorem4(doc, s, **doc.get("bound_params", {}))
+        return _theorem4(doc, s, **(scenarios.read(doc, "bound_params") or {}))
     if theorem == "3":
-        graph = scenarios.parse_graph(scenarios.section(doc, "graph"))
+        graph = scenarios.read(doc, "graph", required=True)
         report = bounds.theorem3_budget(build_algebra(graph))
     elif theorem == "2":
-        em = scenarios.parse_error_model(doc.get("error_model"))
-        omega = em.omega if em.kind == "multiplicative" else doc.get("omega", 0.0)
-        report = bounds.theorem2_budget(*_pipeline_inputs(doc, s), omega=float(omega))
+        # omega bounds a multiplicative error, and is 0 under any other model
+        em = scenarios.read(doc, "error_model")
+        omega = em.omega if em.kind == "multiplicative" else 0.0
+        report = bounds.theorem2_budget(*_pipeline_inputs(doc, s), omega=omega)
     elif theorem == "c1":
-        em = scenarios.parse_error_model(doc.get("error_model"))
-        if em.kind == "log_quantizer":
-            level = em.quant_level
-        elif "quant_level" in doc:
-            level = float(doc["quant_level"])
-        else:
-            raise scenarios.ScenarioFormatError("corollary 1 needs a quantizer level")
-        inputs = _pipeline_inputs(doc, s) if "graph" in doc else (_query_from_doc(doc),)
-        report = bounds.corollary1_budget(*inputs, quant_level=level)
+        em = scenarios.read(doc, "error_model")
+        if em.kind != "log_quantizer":
+            raise scenarios.ScenarioFormatError(
+                "corollary 1 needs an error_model section of kind log_quantizer")
+        inputs = (_pipeline_inputs(doc, s) if scenarios.read(doc, "graph") is not None
+                  else (scenarios.read(doc, "query", required=True),))
+        report = bounds.corollary1_budget(*inputs, quant_level=em.quant_level)
     else:
         report = {"1": bounds.theorem1_budget, "c2": bounds.corollary2_budget,
-                  "5": bounds.theorem5_budget}[theorem](_query_from_doc(doc))
+                  "5": bounds.theorem5_budget}[theorem](scenarios.read(doc, "query",
+                                                                       required=True))
     return report.to_dict()
 
 
 def cmd_bound(args):
-    report = _bound(_load_doc(args.file), args.theorem)
+    report = _bound(scenarios.load_document(args.file), args.theorem)
     _emit(report)
     return EXIT_OK if report["feasible"] else EXIT_INFEASIBLE
 
@@ -177,7 +159,7 @@ def _budget_warning(doc, s):
     if s.schedule is None or s.graph is None:
         return None
     lag = s.schedule.h_max + s.schedule.tau_max + s.input_delay
-    if s.mode == "relative_edges" and "design" in doc:
+    if s.mode == "relative_edges" and scenarios.read(doc, "design") is not None:
         theorem = "c1" if s.error_model.kind == "log_quantizer" else "2"
     elif s.mode == "broadcast" and s.model.N == 1 and s.model.A[0, 0] == 0.0:
         theorem = "3"
@@ -246,29 +228,12 @@ def _run_report(trace, runtime, warning, outdir, tag):
     }
 
 
-def _sweep_seeds(doc):
-    """The seeds of the document's `sweep` section, or None without one."""
-    if "sweep" not in doc:
-        return None
-    seeds = doc["sweep"].get("seeds") if isinstance(doc["sweep"], dict) else None
-    if not (isinstance(seeds, list) and seeds and all(
-            isinstance(sd, int) and not isinstance(sd, bool) for sd in seeds)):
-        raise scenarios.ScenarioFormatError(
-            "sweep must be an object whose seeds is a non-empty list of integers")
-    repeated = [sd for i, sd in enumerate(seeds) if sd in seeds[:i]]
-    if repeated:
-        # each seed names its output files
-        raise scenarios.ScenarioFormatError(
-            f"sweep seeds must be distinct; seed {repeated[0]} is repeated")
-    return seeds
-
-
 def cmd_run(args):
-    doc = _load_doc(args.file)
+    doc = scenarios.load_document(args.file)
     s = scenarios.parse_scenario(doc)
     if args.seed is not None:
         s = replace(s, seed=args.seed)
-    sweep = _sweep_seeds(doc)
+    sweep = scenarios.read(doc, "sweep")
     os.makedirs(args.out, exist_ok=True)
     # Budgets do not depend on the seed: one verdict serves every run.
     warning = _budget_warning(doc, s)

@@ -1,20 +1,28 @@
-"""Scenario files (JSON) and the built-in benchmark scenarios.
+"""Scenario documents (JSON) and the built-in benchmark scenarios.
 
-A scenario document is a JSON object with sections
-    model, graph | coupling, mode, gain | design:{lambda, mu},
-    schedule:{h_min, h_max, tau_max} | schedules:[...],
-    error_model, saturation, input_delay, x0, horizon, seed
-plus optional bound-query sections used by the `bound` subcommand.
-The section readers take the section's value; a null section is an absent
-one.
+This module is the one reader of the document format. A document is a JSON
+object, and each of its keys names a section:
+    model, mode, graph | coupling, gain | design:{lambda, mu},
+    schedule:{h_min, h_max, tau_max} | schedules:[...], error_model,
+    saturation, input_delay, lyapunov_P, startup, snapshot_points,
+    stop_at_consensus, consensus_tol, x0, horizon, seed
+describe a scenario; query and bound_params feed the `bound` subcommand and
+sweep the `run` subcommand. `read` takes every section through its reader
+and names the section in every failure. A null section is an absent one.
+Scalars are checked, not converted: an integer is neither a float nor a
+boolean, a flag is true or false, and a number is not a string.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
+from .bounds import BoundQuery
 from .design import DesignError, riccati_design
 from .graphs import (InteractionGraph, build_algebra, cycle_graph, path_graph,
                      star_graph)
@@ -27,170 +35,192 @@ class ScenarioFormatError(ValueError):
     """Malformed or incomplete scenario document."""
 
 
-def section(doc, key):
-    """The document's `key` section, which must be present and not null."""
-    if doc.get(key) is None:
-        raise ScenarioFormatError(f"document is missing the {key!r} section")
-    return doc[key]
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value) -> float:
+    if not _is_number(value):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _int(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
 
 
 def _floats(value) -> np.ndarray:
+    """A number, or nested lists of numbers, as a float array."""
+    if not all(map(_is_number, np.ravel(np.array(value, dtype=object)))):
+        raise TypeError("expected a number or nested lists of numbers")
     return np.asarray(value, dtype=float)
 
 
-def parse_model(sec) -> LtiModel:
-    return LtiModel(A=_floats(sec["A"]), B=_floats(sec["B"]))
+def _record(cls, sec, read):
+    """The dataclass cls with the section's keys as its fields, each value
+    taken through read; a key that names no field is an error."""
+    return cls(**{key: read(value) for key, value in _object(sec).items()})
 
 
-def parse_graph(sec) -> InteractionGraph:
+def _graph(sec) -> InteractionGraph:
+    sec = _object(sec)
     for shape, build in (("cycle", cycle_graph), ("path", path_graph), ("star", star_graph)):
         if shape in sec:
-            return build(int(sec[shape]))
-    return InteractionGraph(n=int(sec["n"]),
-                            edges=tuple((int(i), int(j)) for i, j in sec["edges"]))
+            return build(_int(sec[shape]))
+    return InteractionGraph(n=_int(sec["n"]),
+                            edges=tuple((_int(i), _int(j)) for i, j in sec["edges"]))
 
 
-def parse_design(sec) -> tuple[float, float]:
+def _design(sec) -> tuple[float, float]:
     """(lambda, mu): the weights of the Riccati gain design."""
-    return float(sec["lambda"]), float(sec["mu"])
+    sec = _object(sec)
+    return _number(sec["lambda"]), _number(sec["mu"])
 
 
-def parse_schedule(sec) -> ScheduleParams | None:
-    if sec is None:
-        return None
-    return ScheduleParams(h_min=float(sec["h_min"]), h_max=float(sec["h_max"]),
-                          tau_max=float(sec["tau_max"]))
-
-
-def parse_schedules(sec) -> tuple[ChannelSchedule, ...]:
-    return tuple(ChannelSchedule(channel_id=int(s["channel_id"]),
+def _schedules(sec) -> tuple[ChannelSchedule, ...]:
+    return tuple(ChannelSchedule(channel_id=_int(s["channel_id"]),
                                  sample_instants=_floats(s["sample_instants"]),
                                  delays=_floats(s["delays"]))
-                 for s in sec)
+                 for s in map(_object, sec))
 
 
-def parse_error_model(sec) -> ErrorModel:
-    if sec is None:
-        return ErrorModel.none()
-    if not isinstance(sec, dict):
-        raise TypeError("an error model must be an object")
+def _error_model(sec) -> ErrorModel:
+    sec = _object(sec)
     kind = sec.get("kind", "none")
     if kind == "none":
         return ErrorModel.none()
     if kind == "multiplicative":
-        return ErrorModel.multiplicative(float(sec["omega"]),
-                                         adversarial=bool(sec.get("adversarial", False)))
+        return ErrorModel.multiplicative(_number(sec["omega"]),
+                                         adversarial=_flag(sec.get("adversarial", False)))
     if kind == "additive":
-        return ErrorModel.additive(float(sec["delta_e"]),
-                                   adversarial=bool(sec.get("adversarial", False)))
+        return ErrorModel.additive(_number(sec["delta_e"]),
+                                   adversarial=_flag(sec.get("adversarial", False)))
     if kind == "log_quantizer":
-        return ErrorModel.log_quantizer(float(sec["level"]))
+        return ErrorModel.log_quantizer(_number(sec["level"]))
     if kind == "event_trigger":
         cap = sec.get("cap")
-        return ErrorModel.event_trigger(float(sec["omega"]), float(sec["dwell"]),
-                                        cap=None if cap is None else float(cap))
+        return ErrorModel.event_trigger(_number(sec["omega"]), _number(sec["dwell"]),
+                                        cap=None if cap is None else _number(cap))
     raise ValueError(f"unknown error model kind {kind!r}")
 
 
 def _saturation(sec) -> float:
-    return float(sec["rho_s"] if isinstance(sec, dict) else sec)
+    return _number(sec["rho_s"] if isinstance(sec, dict) else sec)
+
+
+# The parameters of theorem 4 that a bound_params section may set.
+_BOUND_PARAMS = ("h", "tau", "delta_e", "alpha", "gamma", "eta", "theta")
+
+
+def _bound_params(sec) -> dict:
+    unknown = [key for key in _object(sec) if key not in _BOUND_PARAMS]
+    if unknown:
+        raise ValueError(f"unknown parameter {unknown[0]!r}")
+    return {key: _number(value) for key, value in sec.items()}
+
+
+def _sweep(sec) -> list[int]:
+    """The seeds of a sweep: a non-empty list of distinct integers, since
+    each seed names its output files."""
+    seeds = [_int(sd) for sd in _object(sec)["seeds"]]
+    if not seeds:
+        raise ValueError("seeds must not be empty")
+    repeated = [sd for i, sd in enumerate(seeds) if sd in seeds[:i]]
+    if repeated:
+        raise ValueError(f"seeds must be distinct; seed {repeated[0]} is repeated")
+    return seeds
+
+
+# The reader of each section; a document key that is not here is rejected.
+# (Only a string can be a valid mode or startup, so str converts nothing
+# that the scenario accepts.)
+_READERS = {
+    "model": partial(_record, LtiModel, read=_floats), "mode": str, "graph": _graph,
+    "coupling": _floats, "gain": _floats, "design": _design,
+    "schedule": partial(_record, ScheduleParams, read=_number),
+    "schedules": _schedules, "error_model": _error_model, "saturation": _saturation,
+    "input_delay": _number, "lyapunov_P": _floats, "startup": str,
+    "snapshot_points": _int, "stop_at_consensus": _flag, "consensus_tol": _number,
+    "x0": _floats, "horizon": _number, "seed": _int,
+    "query": partial(_record, BoundQuery, read=_number),
+    "bound_params": _bound_params, "sweep": _sweep,
+}
+_REQUIRED = ("model", "mode", "x0", "horizon")
+
+
+@contextmanager
+def _naming(key):
+    """Turn an error raised while reading the key section into a
+    ScenarioFormatError that names the section, chained to the original."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, DesignError) as exc:
+        raise ScenarioFormatError(f"bad {key} section: {exc}") from exc
+
+
+def load_document(path) -> dict:
+    """The document in the JSON file at path: an object whose keys all
+    name sections."""
+    with open(path) as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError("document must be a JSON object")
+    unknown = [key for key in doc if key not in _READERS]
+    if unknown:
+        raise ScenarioFormatError(f"unknown section {unknown[0]!r}")
+    return doc
+
+
+def read(doc, key, required=False, shape=None):
+    """The value of the document's key section, reshaped to shape when one
+    is given. An absent section fails when it is required and otherwise
+    reads as None, except that an absent error model is the model of no
+    error."""
+    sec = doc.get(key)
+    if sec is None:
+        if required:
+            raise ScenarioFormatError(f"document is missing the {key!r} section")
+        return ErrorModel.none() if key == "error_model" else None
+    with _naming(key):
+        value = _READERS[key](sec)
+        return value if shape is None else value.reshape(shape)
 
 
 def parse_scenario(doc) -> Scenario:
     """The scenario a document describes. Each Scenario field is read from
     the section of its name, except that a design section gives the gain
-    and lyapunov_P. An error raised while reading a section becomes a
-    ScenarioFormatError that names the section; one raised because the
-    sections do not fit together keeps the scenario's message. Both are
-    chained to the original error."""
+    and lyapunov_P. An error raised because the sections do not fit
+    together keeps the scenario's message, chained to the original."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
-    for key in ("model", "mode", "x0", "horizon"):
-        section(doc, key)
-    if (doc.get("gain") is None) == (doc.get("design") is None):
+    values = {f.name: read(doc, f.name, required=f.name in _REQUIRED)
+              for f in fields(Scenario)}
+    values = {name: value for name, value in values.items() if value is not None}
+    design = read(doc, "design")
+    if ("gain" in values) == (design is not None):
         raise ScenarioFormatError("exactly one of 'gain' and 'design' is required")
-    fields = {}
+    if design is not None:
+        with _naming("design"):
+            solved = riccati_design(values["model"], *design)
+        values.update(gain=solved.K, lyapunov_P=solved.P)
     try:
-        for key, read in (("model", parse_model), ("mode", str), ("x0", _floats),
-                          ("horizon", float), ("seed", int), ("graph", parse_graph),
-                          ("coupling", _floats), ("schedule", parse_schedule),
-                          ("schedules", parse_schedules),
-                          ("error_model", parse_error_model),
-                          ("saturation", _saturation), ("input_delay", float),
-                          ("lyapunov_P", _floats), ("startup", str),
-                          ("snapshot_points", int), ("stop_at_consensus", bool),
-                          ("consensus_tol", float), ("gain", _floats)):
-            if doc.get(key) is not None:
-                fields[key] = read(doc[key])
-        if doc.get("design") is not None:
-            key = "design"
-            design = riccati_design(fields["model"], *parse_design(doc["design"]))
-            fields.update(gain=design.K, lyapunov_P=design.P)
-        key = None
-        return Scenario(**fields)
-    except (KeyError, TypeError, ValueError, DesignError) as exc:
-        raise ScenarioFormatError(f"bad {key} section: {exc}" if key else str(exc)) from exc
-
-
-def serialize_scenario(s: Scenario) -> dict:
-    """Document whose parse is semantically identical to the scenario."""
-    doc = {
-        "mode": s.mode,
-        "model": {"A": s.model.A.tolist(), "B": s.model.B.tolist()},
-        "gain": s.gain.tolist(),
-        "x0": s.x0.tolist(),
-        "horizon": s.horizon,
-        "seed": s.seed,
-        "input_delay": s.input_delay,
-        "startup": s.startup,
-        "snapshot_points": s.snapshot_points,
-        "stop_at_consensus": s.stop_at_consensus,
-    }
-    if s.graph is not None:
-        doc["graph"] = {"n": s.graph.n, "edges": [list(e) for e in s.graph.edges]}
-    if s.coupling is not None:
-        doc["coupling"] = s.coupling.tolist()
-    if s.schedule is not None:
-        doc["schedule"] = {"h_min": s.schedule.h_min, "h_max": s.schedule.h_max,
-                           "tau_max": s.schedule.tau_max}
-    elif s.schedules is not None:
-        doc["schedules"] = [{"channel_id": sc.channel_id,
-                             "sample_instants": np.asarray(sc.sample_instants).tolist(),
-                             "delays": np.asarray(sc.delays).tolist()}
-                            for sc in s.schedules]
-    em = s.error_model
-    if em.kind == "multiplicative":
-        doc["error_model"] = {"kind": em.kind, "omega": em.omega,
-                              "adversarial": em.adversarial}
-    elif em.kind == "additive":
-        doc["error_model"] = {"kind": em.kind, "delta_e": em.delta_e,
-                              "adversarial": em.adversarial}
-    elif em.kind == "log_quantizer":
-        doc["error_model"] = {"kind": em.kind, "level": em.quant_level}
-    elif em.kind == "event_trigger":
-        doc["error_model"] = {"kind": em.kind, "omega": em.omega,
-                              "dwell": em.dwell, "cap": em.cap}
-    else:
-        doc["error_model"] = {"kind": "none"}
-    if s.saturation is not None:
-        doc["saturation"] = {"rho_s": s.saturation}
-    if s.lyapunov_P is not None:
-        doc["lyapunov_P"] = np.asarray(s.lyapunov_P).tolist()
-    if s.consensus_tol is not None:
-        doc["consensus_tol"] = s.consensus_tol
-    return doc
-
-
-def load_scenario(path) -> Scenario:
-    with open(path) as f:
-        doc = json.load(f)
-    return parse_scenario(doc)
-
-
-def save_scenario(s: Scenario, path) -> None:
-    with open(path, "w") as f:
-        json.dump(serialize_scenario(s), f, indent=2)
-        f.write("\n")
+        return Scenario(**values)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -478,9 +478,8 @@ class _Engine:
         self.settle(final=True)
 
     def finish(self) -> Trace:
-        if self.t < self.s.horizon and not self.stopped:
-            self.advance(self.s.horizon)
-            self.snapshot()
+        """The trace of the run. Both loops end at the grid instant on the
+        horizon, unless stop_at_consensus cut them short."""
         self.settle(final=True)
         n = self.n_rows
         return Trace(scenario=self.s, t=self.row_t[:n],
@@ -544,14 +543,14 @@ def run(s: Scenario) -> Trace:
     broadcasts included, make one pass over the precomputed timeline
     (_scheduled); the continuously monitored trigger modes queue their
     events (_monitored)."""
-    rows = s.snapshot_points + 2
+    rows = s.snapshot_points + 1
     if not s.monitored and s.horizon > 0:
         times, chans, orders = _timeline(s, _build_schedules(s))
         # The state steps through every timeline instant, skipped
         # deliveries included; dts[i] is the step into entry i, zero at
         # a repeated time.
         dts = np.diff(times, prepend=0.0)
-        rows = int(np.count_nonzero(dts)) + 2
+        rows = int(np.count_nonzero(dts)) + 1
     eng = _Engine(s, rows)
     try:
         if s.monitored and s.horizon > 0:

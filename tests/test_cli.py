@@ -72,6 +72,22 @@ def test_bound_corollary1_golden(ex_file, capsys):
     assert json.loads(out)["budget"] == pytest.approx(0.017, abs=2e-3)
 
 
+def test_bound_theorem2(ex_file, capsys):
+    code, out = run_cli(capsys, "bound", ex_file(1), "--theorem", "2")
+    assert code == 0
+    budget = json.loads(out)["budget"]
+    _, c1 = run_cli(capsys, "bound", ex_file(1), "--theorem", "c1")
+    assert math.isfinite(budget) and budget > json.loads(c1)["budget"]
+    # omega comes only from a multiplicative model: an event trigger's
+    # omega (0.09 in example 3) is no measurement error
+    budgets = []
+    for overrides in ({}, {"error_model": {"kind": "none"}}):
+        code, out = run_cli(capsys, "bound", ex_file(3, **overrides), "--theorem", "2")
+        assert code == 0
+        budgets.append(json.loads(out)["budget"])
+    assert budgets[0] == budgets[1]
+
+
 def test_bound_theorem4_golden(ex_file, capsys):
     code, out = run_cli(capsys, "bound", ex_file(3), "--theorem", "4")
     assert code == 0
@@ -258,9 +274,16 @@ def test_run_malformed_sweep_exits_2(ex_file, tmp_path, capsys, sweep):
     assert not out_dir.exists()
 
 
+def test_null_sweep_is_absent(ex_file, tmp_path, capsys):
+    code, out = run_cli(capsys, "run", ex_file(2, horizon=1.0, sweep=None),
+                        "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert "runs" not in json.loads(out) and (tmp_path / "o" / "trace.csv").exists()
+
+
 def _doc(example, **overrides):
     doc, _ = builtin_example(example)
-    doc.update(horizon=1.0, **overrides)
+    doc.update({"horizon": 1.0, **overrides})
     return doc
 
 
@@ -273,33 +296,54 @@ def _without_schedule(doc, **overrides):
 TWO_UNITS = {"mode": "saturated", "coupling": [[1.0, -1.0], [-1.0, 1.0]], "x0": [1.0, -1.0]}
 
 
-# Inputs that ended in a traceback or ran with a silently wrong reading.
-@pytest.mark.parametrize("command, doc, code", [
-    ("run", _doc(1, design={"lambda": -1.0, "mu": 1.0}), 2),
+NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
+
+
+# Inputs that ended in a traceback, ran with a silently wrong reading or
+# failed without naming their section; each error names what it quotes.
+@pytest.mark.parametrize("command, doc, code, names", [
+    ("run", _doc(1, design={"lambda": -1.0, "mu": 1.0}), 2, "design"),
     ("run", _without_schedule(_doc(2), schedules=[
-        {"channel_id": ch, "sample_instants": [0.1]} for ch in range(5)]), 2),
+        {"channel_id": ch, "sample_instants": [0.1]} for ch in range(5)]), 2, "schedules"),
     ("run", _doc(2, schedules=[{"channel_id": ch, "sample_instants": [0.1], "delays": [0.0]}
-                               for ch in range(5)]), 2),
-    ("run", _doc(2, seed=[1]), 2),
-    ("run", _doc(2, graph={"cycle": [5]}), 2),
-    ("run", _doc(2, error_model=[1]), 2),
-    ("run", _doc(2, sweep={"seeds": [1, 1]}), 2),
-    ("run", _doc(2, **TWO_UNITS), 2),
-    ("run", _doc(2, **TWO_UNITS, saturation=-1.0), 2),
-    ("run", _doc(2, saturation=1.0), 2),
-    ("run into a file", _doc(2), 2),
-    ("reproduce into a file", None, 2),
+                               for ch in range(5)]), 2, "schedule"),
+    ("run", _doc(2, seed=[1]), 2, "seed"),
+    ("run", _doc(2, graph={"cycle": [5]}), 2, "graph"),
+    ("run", _doc(2, error_model=[1]), 2, "error_model"),
+    ("run", _doc(2, sweep={"seeds": [1, 1]}), 2, "sweep"),
+    ("run", _doc(2, **TWO_UNITS), 2, "saturation"),
+    ("run", _doc(2, **TWO_UNITS, saturation=-1.0), 2, "saturation"),
+    ("run", _doc(2, saturation=1.0), 2, "saturation"),
+    ("run into a file", _doc(2), 2, "File exists"),
+    ("reproduce into a file", None, 2, "File exists"),
     ("bound 1", {"query": {"mu": 1, "eps": 1, "omega": 0.01, "sigmaA": 5,
-                           "sigma_G": 1, "sigma_K": 1}}, 2),
-    ("bound 4", _doc(3, bound_params={"alhpa": 0.4}), 2),
-    ("bound 2", _doc(1, error_model=[1]), 2),
+                           "sigma_G": 1, "sigma_K": 1}}, 2, "query"),
+    ("bound 4", _doc(3, bound_params={"alhpa": 0.4}), 2, "bound_params"),
+    ("bound 2", _doc(1, error_model=[1]), 2, "error_model"),
+    ("run", _doc(2, seed=1.5), 2, "seed"),
+    ("run", _doc(2, seed=True), 2, "seed"),
+    ("run", _doc(2, snapshot_points=10.7), 2, "snapshot_points"),
+    ("run", _doc(2, stop_at_consensus="false"), 2, "stop_at_consensus"),
+    ("run", _doc(2, graph={"cycle": 5.9}), 2, "graph"),
+    ("run", _doc(2, horizon="1.0"), 2, "horizon"),
+    ("bound 2", _doc(1, omega=0.01), 2, "omega"),
+    ("bound c1", {"query": {"mu": 1, "eps": 1, "omega": 0.01, "sigma_G": 1, "sigma_K": 1},
+                  "quant_level": 1.1}, 2, "quant_level"),
+    ("run", _doc(2, input_dealy=0.3), 2, "input_dealy"),
+    ("bound 2", _doc(1, model=NO_B), 2, "model"),
+    ("design", _doc(1, model=NO_B), 2, "model"),
+    ("bound 4", _doc(3, x0=[1.5, -0.8, 0.6, -1.2]), 2, "x0"),
 ], ids=["negative_design_lambda", "schedule_without_delays", "schedule_and_schedules",
         "seed_not_an_integer", "cycle_size_not_an_integer", "error_model_not_an_object",
         "repeated_sweep_seed",
         "saturated_without_saturation", "negative_saturation", "saturation_outside_saturated",
         "run_out_names_a_file", "reproduce_out_names_a_file", "query_key_typo",
-        "bound_params_key_typo", "bound_error_model_not_an_object"])
-def test_exit_codes(tmp_path, capsys, command, doc, code):
+        "bound_params_key_typo", "bound_error_model_not_an_object",
+        "float_seed", "bool_seed", "float_snapshot_points", "string_stop_at_consensus",
+        "float_cycle_size", "string_horizon", "top_level_omega", "top_level_quant_level",
+        "unknown_section", "bound_model_without_B", "design_model_without_B",
+        "theorem4_x0_of_wrong_length"])
+def test_exit_codes(tmp_path, capsys, command, doc, code, names):
     path, out_dir = tmp_path / "doc.json", tmp_path / "out"
     path.write_text(json.dumps(doc))
     if command.endswith("into a file"):
@@ -308,11 +352,13 @@ def test_exit_codes(tmp_path, capsys, command, doc, code):
         argv = ["run", str(path), "--out", str(out_dir)]
     elif command.startswith("reproduce"):
         argv = ["reproduce", "--example", "2", "--out", str(out_dir)]
+    elif command == "design":
+        argv = ["design", str(path)]
     else:
         argv = ["bound", str(path), "--theorem", command.split()[1]]
     got, out = run_cli(capsys, *argv)
     assert got == code
-    assert "error" in _strict_loads(out)
+    assert names in _strict_loads(out)["error"]
     if command == "run":
         assert not out_dir.exists()
 
@@ -363,6 +409,16 @@ def test_reproduce_examples_pass(capsys, ex_file, monkeypatch):
         code, out = run_cli(capsys, "reproduce", "--example", n)
         assert code == 0
         assert "FAIL" not in out
+
+
+def test_reproduce_writes_its_outputs(tmp_path, capsys):
+    code, out = run_cli(capsys, "reproduce", "--example", "2", "--out", str(tmp_path))
+    assert code == 0
+    report = json.loads(out[out.index("{"):])
+    assert json.loads((tmp_path / "example2_report.json").read_text()) == report
+    with open(tmp_path / "example2.csv") as f:
+        rows = list(csv.reader(f))
+    assert rows[0][0] == "t" and float(rows[-1][0]) == 30.0
 
 
 def test_reproduce_bad_example(capsys):

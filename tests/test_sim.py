@@ -394,7 +394,10 @@ def _event_digest(events):
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE))
 def test_engine_matches_reference_outputs(name):
     digest, kinds, rows, final = EQUIVALENCE[name]
-    tr = run(_equivalence_scenario(name))
+    s = _equivalence_scenario(name)
+    tr = run(s)
+    if not s.stop_at_consensus:
+        assert tr.t[-1] == s.horizon     # the last grid instant ends both loops
     counts = {}
     for _, _, kind in tr.events:
         counts[kind] = counts.get(kind, 0) + 1
