@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,7 +122,7 @@ class ErrorModel:
             raise ValueError(f"unknown error model kind {self.kind!r}")
         if self.omega < 0:
             raise ValueError("omega must be nonnegative")
-        if self.kind == "log_quantizer" and self.quant_level <= 1.0:
+        if self.kind == "log_quantizer" and not self.quant_level > 1.0:   # NaN too
             raise ValueError("quantizing level must exceed 1")
         if self.kind == "event_trigger" and self.dwell <= 0:
             raise ValueError("dwell time must be positive")
@@ -195,20 +196,39 @@ def apply_additive_error(value, delta_e: float, rng: np.random.Generator,
     return value - error, error
 
 
+@lru_cache(maxsize=4096)
+def _level_power(level: float, e: int) -> float:
+    """level**e as numpy's power computes it; Python's pow can differ from
+    it in the last bit. Bounded: a run meets a few hundred exponents."""
+    return float((level ** np.array([float(e)]))[0])
+
+
 def log_quantize(value, quant_level: float) -> np.ndarray:
     """Entrywise logarithmic quantizer: 0 maps to 0, otherwise
     sign(x) * level^floor(log_level |x|); exact powers of the level quantize
-    to themselves (half-ulp snap on the exponent)."""
-    if quant_level <= 1.0:
+    to themselves (half-ulp snap on the exponent). Infinities and NaN map
+    to themselves.
+
+    The engine quantizes one small vector per sample, so each entry is
+    worked on as a Python float, without numpy's per-call overhead."""
+    if not quant_level > 1.0:     # NaN too
         raise ValueError("quantizing level must exceed 1")
     value = np.asarray(value, dtype=float)
-    nz = value != 0.0
-    # whole-array ufuncs, no masked indexing: the engine quantizes one small
-    # vector per sample, where the per-call overhead dominates
-    logs = np.log(np.abs(np.where(nz, value, 1.0))) / np.log(quant_level)
-    snapped = np.rint(logs)
-    exps = np.where(np.abs(logs - snapped) < 1e-9, snapped, np.floor(logs))
-    return np.where(nz, np.copysign(quant_level**exps, value), 0.0)
+    log_level = math.log(quant_level)
+    out = []
+    for x in value.ravel().tolist():
+        if x == 0.0 or not math.isfinite(x):
+            out.append(0.0 if x == 0.0 else x)     # either zero gives +0.0
+            continue
+        logs = math.log(abs(x)) / log_level
+        e = round(logs)
+        if abs(logs - e) >= 1e-9:
+            e = math.floor(logs)
+        out.append(math.copysign(_level_power(quant_level, e), x))
+    # a reshaped view would keep its base alive too, and the engine keeps
+    # every quantized sample as a held value
+    q = np.array(out, dtype=float)
+    return q if q.shape == value.shape else q.reshape(value.shape)
 
 
 def event_trigger_check(current, held, omega: float, cap: float | None = None) -> bool:

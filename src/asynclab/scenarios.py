@@ -8,7 +8,8 @@ object, and each of its keys names a section:
     stop_at_consensus, consensus_tol, x0, horizon, seed
 describe a scenario; query and bound_params feed the `bound` subcommand and
 sweep the `run` subcommand. `read` takes every section through its reader
-and names the section in every failure. A null section is an absent one.
+and names the section in every failure. A null section is an absent one,
+and a section that is an object takes only the keys its reader knows.
 Scalars are checked, not converted: an integer is neither a float nor a
 boolean, a flag is true or false, and a number is not a string.
 """
@@ -63,6 +64,14 @@ def _object(value) -> dict:
     return value
 
 
+def _keyed(sec, keys) -> dict:
+    """The section as an object whose keys all lie in keys."""
+    unknown = [key for key in _object(sec) if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    return sec
+
+
 def _floats(value) -> np.ndarray:
     """A number, or nested lists of numbers, as a float array."""
     if not all(map(_is_number, np.ravel(np.array(value, dtype=object)))):
@@ -80,27 +89,40 @@ def _graph(sec) -> InteractionGraph:
     sec = _object(sec)
     for shape, build in (("cycle", cycle_graph), ("path", path_graph), ("star", star_graph)):
         if shape in sec:
-            return build(_int(sec[shape]))
+            return build(_int(_keyed(sec, (shape,))[shape]))
+    sec = _keyed(sec, ("n", "edges"))
     return InteractionGraph(n=_int(sec["n"]),
                             edges=tuple((_int(i), _int(j)) for i, j in sec["edges"]))
 
 
 def _design(sec) -> tuple[float, float]:
     """(lambda, mu): the weights of the Riccati gain design."""
-    sec = _object(sec)
+    sec = _keyed(sec, ("lambda", "mu"))
     return _number(sec["lambda"]), _number(sec["mu"])
 
 
+def _channel_schedule(entry) -> ChannelSchedule:
+    entry = _keyed(entry, ("channel_id", "sample_instants", "delays"))
+    return ChannelSchedule(channel_id=_int(entry["channel_id"]),
+                           sample_instants=_floats(entry["sample_instants"]),
+                           delays=_floats(entry["delays"]))
+
+
 def _schedules(sec) -> tuple[ChannelSchedule, ...]:
-    return tuple(ChannelSchedule(channel_id=_int(s["channel_id"]),
-                                 sample_instants=_floats(s["sample_instants"]),
-                                 delays=_floats(s["delays"]))
-                 for s in map(_object, sec))
+    return tuple(map(_channel_schedule, sec))
+
+
+# The keys of an error_model section of each kind, besides kind itself.
+_ERROR_KEYS = {"none": (), "multiplicative": ("omega", "adversarial"),
+               "additive": ("delta_e", "adversarial"), "log_quantizer": ("level",),
+               "event_trigger": ("omega", "dwell", "cap")}
 
 
 def _error_model(sec) -> ErrorModel:
-    sec = _object(sec)
-    kind = sec.get("kind", "none")
+    kind = _object(sec).get("kind", "none")
+    if kind not in _ERROR_KEYS:
+        raise ValueError(f"unknown error model kind {kind!r}")
+    _keyed(sec, ("kind", *_ERROR_KEYS[kind]))
     if kind == "none":
         return ErrorModel.none()
     if kind == "multiplicative":
@@ -111,15 +133,13 @@ def _error_model(sec) -> ErrorModel:
                                    adversarial=_flag(sec.get("adversarial", False)))
     if kind == "log_quantizer":
         return ErrorModel.log_quantizer(_number(sec["level"]))
-    if kind == "event_trigger":
-        cap = sec.get("cap")
-        return ErrorModel.event_trigger(_number(sec["omega"]), _number(sec["dwell"]),
-                                        cap=None if cap is None else _number(cap))
-    raise ValueError(f"unknown error model kind {kind!r}")
+    cap = sec.get("cap")
+    return ErrorModel.event_trigger(_number(sec["omega"]), _number(sec["dwell"]),
+                                    cap=None if cap is None else _number(cap))
 
 
 def _saturation(sec) -> float:
-    return _number(sec["rho_s"] if isinstance(sec, dict) else sec)
+    return _number(_keyed(sec, ("rho_s",))["rho_s"] if isinstance(sec, dict) else sec)
 
 
 # The parameters of theorem 4 that a bound_params section may set.
@@ -127,16 +147,13 @@ _BOUND_PARAMS = ("h", "tau", "delta_e", "alpha", "gamma", "eta", "theta")
 
 
 def _bound_params(sec) -> dict:
-    unknown = [key for key in _object(sec) if key not in _BOUND_PARAMS]
-    if unknown:
-        raise ValueError(f"unknown parameter {unknown[0]!r}")
-    return {key: _number(value) for key, value in sec.items()}
+    return {key: _number(value) for key, value in _keyed(sec, _BOUND_PARAMS).items()}
 
 
 def _sweep(sec) -> list[int]:
     """The seeds of a sweep: a non-empty list of distinct integers, since
     each seed names its output files."""
-    seeds = [_int(sd) for sd in _object(sec)["seeds"]]
+    seeds = [_int(sd) for sd in _keyed(sec, ("seeds",))["seeds"]]
     if not seeds:
         raise ValueError("seeds must not be empty")
     repeated = [sd for i, sd in enumerate(seeds) if sd in seeds[:i]]

@@ -323,7 +323,7 @@ class _Engine:
         if t_new != self.t:
             if expA is None:
                 expA, phi = self.prop.pair(t_new - self.t)
-            self.X = self.X @ expA.T + self.drive @ phi.T
+            self.X = self._step(expA, phi)
             self.t = t_new
 
     def state_at(self, t_query):
@@ -331,8 +331,15 @@ class _Engine:
         dt = t_query - self.t
         if dt == 0.0:
             return self.X
-        expA, phi = self.prop.pair(dt)
-        return self.X @ expA.T + self.drive @ phi.T
+        return self._step(*self.prop.pair(dt))
+
+    def _step(self, expA, phi):
+        """The state after one flow step, X e^{A dt}^T + drive Phi(dt)^T.
+        ndarray.dot reaches the same BLAS products as @ with less call
+        overhead. The two agree bit for bit, except with a single unit and
+        an A with non-real eigenvalues: on those strided modal maps @ falls
+        back to a plain loop."""
+        return self.X.dot(expA.T) + self.drive.dot(phi.T)
 
     def read_channel(self, ch, X=None):
         X = self.X if X is None else X
@@ -354,7 +361,7 @@ class _Engine:
             # controller terms involving it are absent (not zero-valued):
             # restrict the Laplacian to edges with both holds live.
             couple = self._masked_laplacian()
-        self.drive = -(couple @ (H @ self.KT))
+        self.drive = -(couple.dot(H.dot(self.KT)))
         self.drive_changes.append((self.t, self.drive))
 
     def _masked_laplacian(self):

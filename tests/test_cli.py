@@ -333,6 +333,11 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
     ("bound 2", _doc(1, model=NO_B), 2, "model"),
     ("design", _doc(1, model=NO_B), 2, "model"),
     ("bound 4", _doc(3, x0=[1.5, -0.8, 0.6, -1.2]), 2, "x0"),
+    ("run", _doc(3, error_model={"kind": "event_trigger", "omega": 0.09, "dwell": 0.025,
+                                 "cpa": 0.08}), 2, "error_model"),
+    ("run", _doc(2, graph={"cycle": 5, "path": 3}), 2, "graph"),
+    ("run", _doc(2, sweep={"seeds": [1, 2], "seed": 3}), 2, "sweep"),
+    ("design", _doc(1, design={"lambda": 1.0, "mu": 1.0, "nu": 1.0}), 2, "design"),
 ], ids=["negative_design_lambda", "schedule_without_delays", "schedule_and_schedules",
         "seed_not_an_integer", "cycle_size_not_an_integer", "error_model_not_an_object",
         "repeated_sweep_seed",
@@ -342,7 +347,8 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
         "float_seed", "bool_seed", "float_snapshot_points", "string_stop_at_consensus",
         "float_cycle_size", "string_horizon", "top_level_omega", "top_level_quant_level",
         "unknown_section", "bound_model_without_B", "design_model_without_B",
-        "theorem4_x0_of_wrong_length"])
+        "theorem4_x0_of_wrong_length", "error_model_key_typo", "two_graph_shapes",
+        "sweep_unknown_key", "design_unknown_key"])
 def test_exit_codes(tmp_path, capsys, command, doc, code, names):
     path, out_dir = tmp_path / "doc.json", tmp_path / "out"
     path.write_text(json.dumps(doc))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,22 +62,62 @@ def test_block_drawn_schedule_matches_one_at_a_time_reference(params):
         assert np.array_equal(s.delays, delays)
 
 
+def _masked_quantize(x, level):
+    """Reference: the quantizer as whole-array numpy over the nonzero
+    entries, with the power from numpy's level**exps."""
+    nz = x != 0.0
+    logs = np.log(np.abs(x[nz])) / np.log(level)
+    snapped = np.round(logs)
+    exps = np.where(np.abs(logs - snapped) < 1e-9, snapped, np.floor(logs))
+    expected = np.zeros_like(x)
+    expected[nz] = np.sign(x[nz]) * level**exps
+    return expected
+
+
 def test_log_quantize_matches_masked_reference():
+    # Bit for bit, on vectors of the lengths the engine passes (1-3):
+    # random magnitudes, zeros, exact powers of the level with their
+    # neighbours one ulp away (where the snap rule and the power decide),
+    # and magnitudes near 1e-300 and 1e300.
     rng = np.random.default_rng(5)
     for level in (1.1, 2.0, 1.0001):
         x = rng.standard_normal(4000) * 10.0 ** rng.uniform(-8, 8, 4000)
         x[::7] = 0.0
         x[1::11] = level ** rng.integers(-20, 20, len(x[1::11]))
-        nz = x != 0.0
-        logs = np.log(np.abs(x[nz])) / np.log(level)
-        snapped = np.round(logs)
-        exps = np.where(np.abs(logs - snapped) < 1e-9, snapped, np.floor(logs))
-        expected = np.zeros_like(x)
-        expected[nz] = np.sign(x[nz]) * level**exps
-        for chunk in np.array_split(x, 400):     # small vectors, as the engine passes
-            got = log_quantize(chunk, level)
-            assert np.array_equal(got, expected[:len(chunk)])
-            expected = expected[len(chunk):]
+        powers = level ** np.arange(-300.0, 301.0)
+        extremes = 10.0 ** np.concatenate([rng.uniform(295, 300, 500),
+                                           rng.uniform(-300, -295, 500)])
+        x = np.concatenate([x, powers, np.nextafter(powers, 0.0),
+                            np.nextafter(powers, np.inf), -powers,
+                            extremes * rng.choice([-1.0, 1.0], len(extremes))])
+        expected = _masked_quantize(x, level)
+        cuts = np.cumsum(np.resize([1, 2, 3], len(x)))
+        cuts = cuts[cuts < len(x)]
+        for chunk, want in zip(np.split(x, cuts), np.split(expected, cuts)):
+            assert log_quantize(chunk, level).tobytes() == want.tobytes()
+
+
+def test_log_quantize_edge_inputs():
+    # infinities and NaN map to themselves, without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        q = log_quantize([np.inf, -np.inf, np.nan], 1.1)
+    assert q[0] == np.inf and q[1] == -np.inf and np.isnan(q[2])
+    # zeros (either sign) give +0.0, and subnormals quantize as any other value
+    x = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e-320])
+    for level in (1.1, 2.0):
+        assert log_quantize(x, level).tobytes() == _masked_quantize(x, level).tobytes()
+    assert log_quantize([5e-324], 2.0)[0] == 5e-324     # 2**-1074, an exact power
+    # the shape of the input is kept: 0-d, 2-D and empty
+    q = log_quantize(np.float64(-3.0), 2.0)
+    assert q.shape == () and q == -2.0
+    grid = x[2:].reshape(2, 2)
+    assert log_quantize(grid, 1.1).tobytes() == _masked_quantize(grid.ravel(), 1.1).tobytes()
+    assert log_quantize(grid, 1.1).shape == (2, 2)
+    assert log_quantize(np.empty((0, 3)), 2.0).shape == (0, 3)
+    for level in (1.0, 0.5, 0.0, -2.0, math.nan):
+        with pytest.raises(ValueError):
+            log_quantize([1.0], level)
 
 
 def test_schedule_parameter_errors():

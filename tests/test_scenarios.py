@@ -54,6 +54,15 @@ def test_missing_sections_rejected():
     ("graph", {"cycle": 5.9}, TypeError), ("horizon", "1.0", TypeError),
     ("x0", ["1.0"] * 10, TypeError), ("model", {"A": [[0.0, 1.0], [-1.0, 0.0]]}, TypeError),
     ("error_model", {"kind": "multiplicative", "omega": 0.1, "adversarial": "no"}, TypeError),
+    ("error_model", {"kind": "log_quantizer", "level": 1.1, "levle": 1.2}, ValueError),
+    ("error_model", {"omega": 0.1}, ValueError),      # kind none takes no keys
+    ("error_model", {"kind": "log_quantizer", "level": float("nan")}, ValueError),
+    ("graph", {"cycle": 5, "path": 3}, ValueError),
+    ("graph", {"n": 5, "edges": [[1, 2]], "m": 1}, ValueError),
+    ("design", {"lambda": 1.0, "mu": 1.0, "nu": 1.0}, ValueError),
+    ("saturation", {"rho_s": 1.0, "rho": 2.0}, ValueError),
+    ("schedules", [{"channel_id": 0, "sample_instants": [0.1], "delays": [0.0],
+                    "delay": [0.0]}], ValueError),
 ])
 def test_bad_section_is_named(section, value, cause):
     doc, _ = builtin_example(1)

@@ -407,6 +407,31 @@ def test_engine_matches_reference_outputs(name):
     assert np.max(np.abs(tr.final_state - final)) <= 1e-12
 
 
+def test_flow_step_dot_matches_matmul():
+    # The engine's flow step and drive use ndarray.dot, which reaches the
+    # same BLAS products as @ with less call overhead: bit for bit on
+    # contiguous operands and on the engine's own flow-map stacks (modal
+    # .real views, expm slices). A single unit is left out for the stacks:
+    # there @ falls back to a plain dot on the strided modal maps, and dot
+    # does not.
+    rng = np.random.default_rng(23)
+    for _ in range(3000):
+        units, N, channels = (int(rng.integers(1, k)) for k in (7, 4, 9))
+        X, D = rng.standard_normal((2, units, N))
+        maps = [rng.standard_normal((2, N, N))]
+        if units > 1:
+            A = rng.standard_normal((N, N))
+            for prop in (sim.Propagator(A), sim.Propagator(np.triu(A, 1))):
+                E, P = prop.pairs(rng.uniform(0.0, 0.1, 3))
+                maps.append((E[1], P[1]))
+        for E, P in maps:
+            assert (X.dot(E.T) + D.dot(P.T)).tobytes() == (X @ E.T + D @ P.T).tobytes()
+        C = rng.standard_normal((units, channels))
+        H = rng.standard_normal((channels, N))
+        KT = rng.standard_normal((N, N)).T
+        assert C.dot(H.dot(KT)).tobytes() == (C @ (H @ KT)).tobytes()
+
+
 def test_stop_at_consensus_ends_at_the_consensus_row():
     tr = run(_equivalence_scenario("ex2_stop"))
     assert tr.consensus_time == pytest.approx(4.202999198552228, abs=1e-12)
