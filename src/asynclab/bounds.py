@@ -33,6 +33,8 @@ SEVEN_THIRDS = 7.0 / 3.0
 # Clamps for witness parameters whose exact optimum is a limit (0 or infinity).
 PARAM_FLOOR = 1e-9
 PARAM_CEIL = 1e9
+MARGINAL_TOL = 1e-8      # an eigenvalue with |Re| this small is on the imaginary axis
+NORM_SAMPLES = 10001     # sample instants of the e^{As} norm maxima
 
 
 class InfeasibleError(RuntimeError):
@@ -193,13 +195,13 @@ def _find_budget(mu, eps, omega, lam_As, sigma_A, coupling):
 
 
 def _budget_report(mu_eff, eps, omega, lam_As, sigma_A, coupling,
-                   gamma=1.0, eta=1.0, extra_details=None, note=""):
+                   gamma=1.0, extra_details=None):
     if mu_eff <= eps * omega:
         return BoundReport(
             feasible=False, margin=mu_eff - eps * omega, budget=0.0,
             witness=None, unbounded=False,
             diagnostics="infeasible: eps * omega >= available margin "
-                        "(stability cannot be certified for any h, tau)" + note,
+                        "(stability cannot be certified for any h, tau)",
             details=dict(extra_details or {}))
     budget, lag = _find_budget(mu_eff, eps, omega, lam_As, sigma_A, coupling)
     unbounded = budget == math.inf
@@ -226,10 +228,10 @@ def _budget_report(mu_eff, eps, omega, lam_As, sigma_A, coupling,
                 hi = mid
         budget = lo
         margin, alpha, beta = certified(lo)
-    witness = SearchParams(alpha=alpha, beta=beta, gamma=gamma, eta=eta)
+    witness = SearchParams(alpha=alpha, beta=beta, gamma=gamma)
     diag = (f"unbounded: the margin stays positive for every lag; it is "
-            f"smallest at lag {lag:.6g}, where the witness is given" + note) \
-        if unbounded else f"certified total lag budget {budget:.6g}" + note
+            f"smallest at lag {lag:.6g}, where the witness is given") \
+        if unbounded else f"certified total lag budget {budget:.6g}"
     return BoundReport(feasible=True, margin=float(margin), budget=budget,
                        witness=witness, unbounded=unbounded, diagnostics=diag,
                        details=dict(extra_details or {}))
@@ -316,15 +318,15 @@ def theorem3_budget(algebra: GraphAlgebra) -> BoundReport:
                     f"synchronous comparison constant 2/lambda_n = {2.0 / lam_n:.6g}")
 
 
-def marginally_stable(A, tol: float = 1e-8) -> bool:
+def marginally_stable(A) -> bool:
     """All eigenvalues in the closed left half-plane, with those on the
     imaginary axis semisimple (so e^{At} stays bounded)."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     eig = np.linalg.eigvals(A)
-    if np.any(eig.real > tol):
+    if np.any(eig.real > MARGINAL_TOL):
         return False
-    axis = eig[np.abs(eig.real) <= tol]
+    axis = eig[np.abs(eig.real) <= MARGINAL_TOL]
     for lam in axis:
         alg = int(np.sum(np.abs(eig - lam) <= 1e-7 * max(1.0, np.abs(lam))))
         geo = n - np.linalg.matrix_rank(A - lam * np.eye(n), tol=1e-9 * max(1.0, np.linalg.norm(A)))
@@ -338,7 +340,7 @@ def _require_marginally_stable(A):
         raise InfeasibleError("A must be marginally stable for the broadcast bound")
 
 
-def max_expm_norms(A, samples: int = 10001) -> tuple[float, float]:
+def max_expm_norms(A) -> tuple[float, float]:
     """Sampled sup over s >= 0 of ||e^{As}||_2 and of the maximum row sum
     norm ||e^{As}||_inf, for marginally stable A.
 
@@ -357,7 +359,7 @@ def max_expm_norms(A, samples: int = 10001) -> tuple[float, float]:
     decays = -eig.real[eig.real < -1e-9]
     if decays.size:
         T = max(T, 10.0 / decays.min())
-    E = expm(A, np.linspace(0.0, T, samples))
+    E = expm(A, np.linspace(0.0, T, NORM_SAMPLES))
     best2 = float(np.linalg.svd(E, compute_uv=False)[:, 0].max())
     bestinf = float(np.abs(E).sum(axis=2).max())
     return best2, bestinf

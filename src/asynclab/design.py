@@ -68,8 +68,7 @@ def riccati_residual(design: GainDesign, model: LtiModel) -> float:
         + 2.0 * design.mu * np.eye(model.N), "fro"))
 
 
-def verify_lyapunov_family(design: GainDesign, model: LtiModel,
-                           spectrum, tol: float = PSD_TOL) -> bool:
+def verify_lyapunov_family(design: GainDesign, model: LtiModel, spectrum) -> bool:
     """Check (A - lam_i B K)^T P + P (A - lam_i B K) + 2 mu I <= 0 for every
     supplied eigenvalue lam_i (the nonzero Laplacian eigenvalues); these are
     the disagreement modes of the consensus protocol u = -K sum(...)."""
@@ -78,7 +77,7 @@ def verify_lyapunov_family(design: GainDesign, model: LtiModel,
     for lam_i in np.atleast_1d(np.asarray(spectrum, dtype=float)):
         Acl = A - lam_i * B @ K
         S = Acl.T @ P + P @ Acl + 2.0 * mu * np.eye(model.N)
-        if np.linalg.eigvalsh((S + S.T) / 2.0)[-1] > tol:
+        if np.linalg.eigvalsh((S + S.T) / 2.0)[-1] > PSD_TOL:
             return False
     return True
 

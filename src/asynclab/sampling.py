@@ -120,13 +120,15 @@ class ErrorModel:
                  "event_trigger"}
         if self.kind not in kinds:
             raise ValueError(f"unknown error model kind {self.kind!r}")
-        if self.omega < 0:
+        if not self.omega >= 0:      # NaN fails each check
             raise ValueError("omega must be nonnegative")
-        if self.kind == "log_quantizer" and not self.quant_level > 1.0:   # NaN too
+        if not self.delta_e >= 0:
+            raise ValueError("delta_e must be nonnegative")
+        if self.kind == "log_quantizer" and not self.quant_level > 1.0:
             raise ValueError("quantizing level must exceed 1")
-        if self.kind == "event_trigger" and self.dwell <= 0:
+        if self.kind == "event_trigger" and not self.dwell > 0:
             raise ValueError("dwell time must be positive")
-        if self.cap is not None and self.cap <= 0:
+        if self.cap is not None and not self.cap > 0:
             raise ValueError("cap must be positive when present")
 
     @classmethod
@@ -225,8 +227,7 @@ def log_quantize(value, quant_level: float) -> np.ndarray:
         if abs(logs - e) >= 1e-9:
             e = math.floor(logs)
         out.append(math.copysign(_level_power(quant_level, e), x))
-    # a reshaped view would keep its base alive too, and the engine keeps
-    # every quantized sample as a held value
+    # the engine's samples are 1-D and skip the reshape's call overhead
     q = np.array(out, dtype=float)
     return q if q.shape == value.shape else q.reshape(value.shape)
 

@@ -11,12 +11,17 @@ sweep the `run` subcommand. `read` takes every section through its reader
 and names the section in every failure. A null section is an absent one,
 and a section that is an object takes only the keys its reader knows.
 Scalars are checked, not converted: an integer is neither a float nor a
-boolean, a flag is true or false, and a number is not a string.
+boolean, a flag is true or false, and a number is finite (json reads NaN
+and Infinity literals) and not a string. mode is the coupling structure
+(abstract_coupled, relative_edges or broadcast); a saturation number turns
+saturation on, and an event_trigger error model makes an abstract_coupled
+run continuously monitored.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import fields
 from functools import partial
@@ -43,6 +48,8 @@ def _is_number(value) -> bool:
 def _number(value) -> float:
     if not _is_number(value):
         raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -76,7 +83,10 @@ def _floats(value) -> np.ndarray:
     """A number, or nested lists of numbers, as a float array."""
     if not all(map(_is_number, np.ravel(np.array(value, dtype=object)))):
         raise TypeError("expected a number or nested lists of numbers")
-    return np.asarray(value, dtype=float)
+    value = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise ValueError("expected finite numbers")
+    return value
 
 
 def _record(cls, sec, read):
@@ -138,10 +148,6 @@ def _error_model(sec) -> ErrorModel:
                                     cap=None if cap is None else _number(cap))
 
 
-def _saturation(sec) -> float:
-    return _number(_keyed(sec, ("rho_s",))["rho_s"] if isinstance(sec, dict) else sec)
-
-
 # The parameters of theorem 4 that a bound_params section may set.
 _BOUND_PARAMS = ("h", "tau", "delta_e", "alpha", "gamma", "eta", "theta")
 
@@ -169,7 +175,7 @@ _READERS = {
     "model": partial(_record, LtiModel, read=_floats), "mode": str, "graph": _graph,
     "coupling": _floats, "gain": _floats, "design": _design,
     "schedule": partial(_record, ScheduleParams, read=_number),
-    "schedules": _schedules, "error_model": _error_model, "saturation": _saturation,
+    "schedules": _schedules, "error_model": _error_model, "saturation": _number,
     "input_delay": _number, "lyapunov_P": _floats, "startup": str,
     "snapshot_points": _int, "stop_at_consensus": _flag, "consensus_tol": _number,
     "x0": _floats, "horizon": _number, "seed": _int,
@@ -185,7 +191,7 @@ def _naming(key):
     ScenarioFormatError that names the section, chained to the original."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, DesignError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DesignError) as exc:
         raise ScenarioFormatError(f"bad {key} section: {exc}") from exc
 
 

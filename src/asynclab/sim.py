@@ -7,7 +7,7 @@ Phi(dt) = integral of e^{A s}. Sample events read the true state and apply
 the error model; deliver events update the zero-order holds of every
 controller using that channel simultaneously.
 
-Scheduled modes draw every sample instant and delay before the run, so
+Scheduled runs draw every sample instant and delay before the run, so
 their event timeline is sorted once and its flow maps are evaluated in
 vectorized chunks; only continuously monitored triggering queues events.
 """
@@ -45,8 +45,8 @@ TRIGGER_REFINE_TOL = 1e-9
 # overhead while keeping the batch's memory small and flat in the run length.
 FLOW_CHUNK = 4096
 
-MODES = ("abstract_coupled", "relative_edges", "broadcast",
-         "event_triggered", "saturated")
+MODES = ("abstract_coupled", "relative_edges", "broadcast")    # coupling structures
+EVENT_COUNT_WINDOW = 0.1     # seconds per bin of the event counts of metrics()
 
 
 class ScenarioError(ValueError):
@@ -62,6 +62,13 @@ class ScheduleParams:
     h_min: float
     h_max: float
     tau_max: float
+
+    def __post_init__(self):
+        if not 0 < self.h_min <= self.h_max:         # NaN fails each check
+            raise ScenarioError("need 0 < h_min <= h_max")
+        if not 0 <= self.tau_max <= self.h_min:
+            raise ScenarioError("need 0 <= tau_max <= h_min, so delays stay "
+                                "strictly below each sampling gap")
 
 
 @dataclass(frozen=True)
@@ -105,14 +112,14 @@ class Scenario:
             raise ScenarioError("x0 must be finite")
         if not (self.horizon >= 0 and math.isfinite(self.horizon)):
             raise ScenarioError("horizon must be finite and nonnegative")
-        if self.input_delay < 0:
+        if not self.input_delay >= 0:     # NaN too
             raise ScenarioError("input delay must be nonnegative")
-        if self.mode == "saturated":
-            if self.saturation is None or not 0 < self.saturation < math.inf:
-                raise ScenarioError("saturated mode needs a finite, positive saturation")
-        elif self.saturation is not None:
-            raise ScenarioError(f"saturation applies only to the saturated mode, "
-                                f"not to {self.mode}")
+        if self.saturation is not None:
+            if not 0 < self.saturation < math.inf:
+                raise ScenarioError("saturation must be finite and positive")
+            if self.mode != "abstract_coupled" or self.monitored:
+                raise ScenarioError("saturation applies only to scheduled "
+                                    "abstract_coupled runs")
         N = self.model.N
         if self.mode in ("relative_edges", "broadcast"):
             if self.graph is None:
@@ -136,10 +143,10 @@ class Scenario:
                 raise ScenarioError("x0 length must be m * N")
         em = self.error_model
         if em.kind == "event_trigger":
-            if self.mode not in ("abstract_coupled", "event_triggered", "broadcast"):
-                raise ScenarioError("event triggering supports abstract or broadcast modes")
+            if self.mode == "relative_edges":
+                raise ScenarioError("event triggering excludes relative_edges mode")
             if self.mode != "broadcast" and self.input_delay != 0.0:
-                raise ScenarioError("abstract event-triggered mode excludes delays")
+                raise ScenarioError("monitored event triggering excludes delays")
             if (self.mode == "broadcast" and self.schedule is not None
                     and em.dwell > self.schedule.h_min + 1e-12):
                 raise ScenarioError("dwell time must not exceed the minimum sampling gap")
@@ -154,7 +161,7 @@ class Scenario:
 
     @property
     def monitored(self) -> bool:
-        """Abstract-mode event triggering: checked continuously, no schedule."""
+        """Event triggering in abstract_coupled mode: continuous, no schedule."""
         return self.error_model.kind == "event_trigger" and self.mode != "broadcast"
 
     @property
@@ -182,7 +189,6 @@ class Trace:
     delta_tilde_sq: np.ndarray | None
     events: list                       # (time, channel, kind)
     drive_changes: list                # (time, drive matrix snapshot)
-    held_changes: list                 # (time, channel, held value)
     consensus_time: float | None = None
 
     @property
@@ -288,7 +294,6 @@ class _Engine:
         self.t = 0.0
         self.events = []
         self.drive_changes = [(0.0, self.drive)]
-        self.held_changes = []
         # preallocated trace columns: rows[:n_rows] hold (t, X), and
         # rows[:n_settled] also the columns that settle() derives
         self.n_rows = self.n_settled = 0
@@ -350,7 +355,7 @@ class _Engine:
 
     def recompute_drive(self):
         H = self.H
-        if self.s.mode == "saturated":
+        if self.s.saturation is not None:
             H = H.copy()
             for j in range(self.channels):
                 if self.H_live[j]:
@@ -370,11 +375,9 @@ class _Engine:
         return (inc * live) @ inc.T
 
     def set_hold(self, ch, value):
-        """Hold value on channel ch; value is kept, not copied, so callers
-        pass an array that nothing changes afterwards."""
+        """Hold value on channel ch."""
         self.H[ch] = value
         self.H_live[ch] = True
-        self.held_changes.append((self.t, ch, value))
         self.recompute_drive()
 
     # -- measurement ------------------------------------------------------
@@ -473,7 +476,7 @@ class _Engine:
         """End the trace at row r: drop later rows and the changes after it."""
         tc = self.row_t[r]
         self.n_rows = self.n_settled = r + 1
-        for log in (self.events, self.drive_changes, self.held_changes):
+        for log in (self.events, self.drive_changes):
             del log[bisect_right(log, tc, key=itemgetter(0)):]
         self.stopped = True
 
@@ -495,7 +498,7 @@ class _Engine:
                      lyapunov=self.row_v[:n] if self.lyapunov_P is not None else None,
                      delta_tilde_sq=self.row_tilde[:n] if self.track_tilde else None,
                      events=self.events, drive_changes=self.drive_changes,
-                     held_changes=self.held_changes, consensus_time=self.consensus_time)
+                     consensus_time=self.consensus_time)
 
 
 def _build_schedules(s: Scenario) -> list[ChannelSchedule]:
@@ -546,10 +549,9 @@ def _timeline(s: Scenario, scheds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # reports it, so numpy stays quiet for the whole run.
 @np.errstate(over="ignore", invalid="ignore")
 def run(s: Scenario) -> Trace:
-    """Simulate one scenario. The scheduled modes, event-triggered
-    broadcasts included, make one pass over the precomputed timeline
-    (_scheduled); the continuously monitored trigger modes queue their
-    events (_monitored)."""
+    """Simulate one scenario. Scheduled runs, event-triggered broadcasts
+    included, make one pass over the precomputed timeline (_scheduled);
+    continuously monitored triggering queues its events (_monitored)."""
     rows = s.snapshot_points + 1
     if not s.monitored and s.horizon > 0:
         times, chans, orders = _timeline(s, _build_schedules(s))
@@ -623,10 +625,10 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
 
 
 def _monitored(eng: _Engine) -> None:
-    """Event-triggered updates with a mandatory dwell time, in the abstract
-    modes: each subsystem monitors its own state continuously after the
-    dwell window, with trigger checks every dwell/50 and bisection
-    refinement of the crossing instant; updates are delay-free."""
+    """Event-triggered updates with a mandatory dwell time in abstract_coupled
+    mode: each subsystem monitors its own state continuously after the dwell
+    window, with trigger checks every dwell/50 and bisection refinement of
+    the crossing instant; updates are delay-free."""
     s, em = eng.s, eng.s.error_model
     dwell = em.dwell
     dt_check = dwell / 50.0
@@ -683,13 +685,13 @@ def _monitored(eng: _Engine) -> None:
             eng.settle()
 
 
-def metrics(trace: Trace, window: float = 0.1) -> dict:
-    """Derived metric series: per-window event counts, the consensus flag,
-    and trailing minima of the consensus errors."""
+def metrics(trace: Trace) -> dict:
+    """Derived metric series: event counts per EVENT_COUNT_WINDOW, the
+    consensus flag, and trailing minima of the consensus errors."""
     s = trace.scenario
     counts = {}
     if s.horizon > 0:
-        edges = np.arange(0.0, s.horizon + window, window)
+        edges = np.arange(0.0, s.horizon + EVENT_COUNT_WINDOW, EVENT_COUNT_WINDOW)
         for kind in ("sample", "deliver", "update"):
             times = [t for t, _, k in trace.events if k == kind]
             if times:

@@ -194,7 +194,7 @@ def test_criterion_8_structural_invariants():
         doc3["horizon"] = 5.0
         tr3 = run(parse_scenario(doc3))
         assert min_update_gap(tr3) >= 0.025 - 1e-9
-        s_et = Scenario(mode="event_triggered", model=INTEGRATOR,
+        s_et = Scenario(mode="abstract_coupled", model=INTEGRATOR,
                         gain=np.array([[1.0]]), x0=[1.0, -1.0, 0.5],
                         horizon=2.0, coupling=np.eye(3) * 2.0 - 1.0 + np.eye(3),
                         error_model=ErrorModel.event_trigger(0.01, dwell=0.04))

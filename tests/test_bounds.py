@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from asynclab.bounds import (BoundQuery, InfeasibleError, SearchParams,
+from asynclab.bounds import (NORM_SAMPLES, BoundQuery, InfeasibleError, SearchParams,
                              SetMembershipError, _best_margin, _best_witness,
                              _find_budget, _gamma_sup, _margin_at, corollary1_budget,
                              corollary2_budget, delta_kappa, marginally_stable,
@@ -353,7 +353,7 @@ def test_max_expm_norms_known_cases():
     assert inf == pytest.approx(math.sqrt(2.0), abs=1e-4)
 
 
-def _loop_expm_norms(A, samples=10001):
+def _loop_expm_norms(A):
     """Reference: the per-sample loop that max_expm_norms replaced."""
     A = np.asarray(A, dtype=float)
     eig = np.linalg.eigvals(A)
@@ -366,7 +366,7 @@ def _loop_expm_norms(A, samples=10001):
     if decays.size:
         T = max(T, 10.0 / decays.min())
     best2 = bestinf = 0.0
-    for s in np.linspace(0.0, T, samples):
+    for s in np.linspace(0.0, T, NORM_SAMPLES):
         E = expm(A, s)
         best2 = max(best2, max_singular_value(E))
         bestinf = max(bestinf, float(np.abs(E).sum(axis=1).max()))

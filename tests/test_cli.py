@@ -230,18 +230,15 @@ def _assert_run_exits_2(doc, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("example, overrides", [
-    (2, {"x0": [0.1, math.nan, 0.3, 0.4, 0.5]}),
-    (2, {"horizon": math.inf}),
-    (2, {"horizon": math.nan}),
     (3, {"startup": "first_sample"}),
     (1, {"error_model": {"kind": "event_trigger", "omega": 0.09, "dwell": 0.005}}),
     (3, {"error_model": {"kind": "event_trigger", "omega": 0.09, "dwell": 0.03,
                          "cap": 0.08}}),
-    (2, {"mode": "event_triggered", "coupling": [[1.0, -1.0], [-1.0, 1.0]],
+    (2, {"mode": "abstract_coupled", "coupling": [[1.0, -1.0], [-1.0, 1.0]],
          "x0": [1.0, -1.0], "input_delay": 0.01,
          "error_model": {"kind": "event_trigger", "omega": 0.05, "dwell": 0.02}}),
-], ids=["nan_x0", "inf_horizon", "nan_horizon", "first_sample_with_trigger",
-        "trigger_on_relative_edges", "dwell_above_h_min", "abstract_trigger_with_delay"])
+], ids=["first_sample_with_trigger", "trigger_on_relative_edges", "dwell_above_h_min",
+        "abstract_trigger_with_delay"])
 def test_run_bad_scenario_exits_2(tmp_path, capsys, example, overrides):
     doc, _ = builtin_example(example)
     doc.update(overrides)
@@ -293,7 +290,9 @@ def _without_schedule(doc, **overrides):
     return doc
 
 
-TWO_UNITS = {"mode": "saturated", "coupling": [[1.0, -1.0], [-1.0, 1.0]], "x0": [1.0, -1.0]}
+TWO_UNITS = {"mode": "abstract_coupled", "coupling": [[1.0, -1.0], [-1.0, 1.0]],
+             "x0": [1.0, -1.0]}
+TRIGGER = {"kind": "event_trigger", "omega": 0.05, "dwell": 0.02}
 
 
 NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
@@ -311,9 +310,13 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
     ("run", _doc(2, graph={"cycle": [5]}), 2, "graph"),
     ("run", _doc(2, error_model=[1]), 2, "error_model"),
     ("run", _doc(2, sweep={"seeds": [1, 1]}), 2, "sweep"),
-    ("run", _doc(2, **TWO_UNITS), 2, "saturation"),
+    ("run", _doc(2, **{**TWO_UNITS, "mode": "saturated"}), 2, "mode"),
     ("run", _doc(2, **TWO_UNITS, saturation=-1.0), 2, "saturation"),
     ("run", _doc(2, saturation=1.0), 2, "saturation"),
+    ("run", _doc(2, **{**TWO_UNITS, "mode": "event_triggered"}, error_model=TRIGGER), 2,
+     "mode"),
+    ("run", _doc(2, **TWO_UNITS, saturation={"rho_s": 1.0}), 2, "saturation"),
+    ("run", _doc(2, **TWO_UNITS, saturation=1.0, error_model=TRIGGER), 2, "saturation"),
     ("run into a file", _doc(2), 2, "File exists"),
     ("reproduce into a file", None, 2, "File exists"),
     ("bound 1", {"query": {"mu": 1, "eps": 1, "omega": 0.01, "sigmaA": 5,
@@ -338,17 +341,39 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
     ("run", _doc(2, graph={"cycle": 5, "path": 3}), 2, "graph"),
     ("run", _doc(2, sweep={"seeds": [1, 2], "seed": 3}), 2, "sweep"),
     ("design", _doc(1, design={"lambda": 1.0, "mu": 1.0, "nu": 1.0}), 2, "design"),
+    ("run", _doc(2, x0=[0.1, math.nan, 0.3, 0.4, 0.5]), 2, "x0"),
+    ("run", _doc(2, horizon=math.inf), 2, "horizon"),
+    ("run", _doc(2, horizon=math.nan), 2, "horizon"),
+    ("run", _doc(2, error_model={"kind": "multiplicative", "omega": math.nan}), 2,
+     "error_model"),
+    ("run", _doc(3, error_model={"kind": "event_trigger", "omega": 0.09, "dwell": 0.025,
+                                 "cap": math.nan}), 2, "error_model"),
+    ("run", _doc(2, input_delay=math.nan), 2, "input_delay"),
+    ("run", _doc(2, consensus_tol=math.nan), 2, "consensus_tol"),
+    ("run", _doc(2, horizon=10 ** 400), 2, "horizon"),
+    ("run", _doc(2, x0=[10 ** 400, 0, 0, 0, 0]), 2, "x0"),
+    ("bound 1", {"query": {"mu": 1, "eps": 1, "sigma_A": -math.inf}}, 2, "query"),
+    ("run", _doc(2, error_model={"kind": "additive", "delta_e": -0.1}), 2, "error_model"),
+    ("run", _doc(2, schedule={"h_min": 0.05, "h_max": 0.02, "tau_max": 0.0}), 2, "schedule"),
+    ("run", _doc(2, schedule={"h_min": 0.02, "h_max": 0.05, "tau_max": 0.03}), 2,
+     "schedule"),
+    ("run", _doc(2, schedule={"h_min": -0.02, "h_max": 0.05, "tau_max": 0.0}), 2,
+     "schedule"),
 ], ids=["negative_design_lambda", "schedule_without_delays", "schedule_and_schedules",
         "seed_not_an_integer", "cycle_size_not_an_integer", "error_model_not_an_object",
         "repeated_sweep_seed",
         "saturated_without_saturation", "negative_saturation", "saturation_outside_saturated",
+        "event_triggered_mode", "saturation_object", "saturation_with_trigger",
         "run_out_names_a_file", "reproduce_out_names_a_file", "query_key_typo",
         "bound_params_key_typo", "bound_error_model_not_an_object",
         "float_seed", "bool_seed", "float_snapshot_points", "string_stop_at_consensus",
         "float_cycle_size", "string_horizon", "top_level_omega", "top_level_quant_level",
         "unknown_section", "bound_model_without_B", "design_model_without_B",
         "theorem4_x0_of_wrong_length", "error_model_key_typo", "two_graph_shapes",
-        "sweep_unknown_key", "design_unknown_key"])
+        "sweep_unknown_key", "design_unknown_key", "nan_x0", "inf_horizon", "nan_horizon",
+        "nan_omega", "nan_cap", "nan_input_delay", "nan_consensus_tol", "integer_too_large",
+        "integer_too_large_in_array", "infinite_query_value",
+        "negative_delta_e", "h_min_above_h_max", "tau_max_above_h_min", "negative_h_min"])
 def test_exit_codes(tmp_path, capsys, command, doc, code, names):
     path, out_dir = tmp_path / "doc.json", tmp_path / "out"
     path.write_text(json.dumps(doc))

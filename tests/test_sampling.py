@@ -278,4 +278,14 @@ def test_error_model_validation():
         ErrorModel.event_trigger(0.09, dwell=0.0)
     with pytest.raises(ValueError):
         ErrorModel.event_trigger(0.09, dwell=0.01, cap=-1.0)
+    nan = float("nan")
+    for bad in (lambda: ErrorModel.additive(-0.1), lambda: ErrorModel.additive(nan),
+                lambda: ErrorModel.multiplicative(nan), lambda: ErrorModel.multiplicative(-0.1),
+                lambda: ErrorModel.event_trigger(nan, dwell=0.01),
+                lambda: ErrorModel.event_trigger(0.09, dwell=nan),
+                lambda: ErrorModel.event_trigger(0.09, dwell=0.01, cap=nan),
+                lambda: ErrorModel.log_quantizer(nan)):
+        with pytest.raises(ValueError):
+            bad()
+    assert ErrorModel.additive(0.0).delta_e == 0.0
     assert ErrorModel.none().kind == "none"

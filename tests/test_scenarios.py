@@ -3,6 +3,7 @@ import pytest
 from asynclab import scenarios
 from asynclab.design import DesignError
 from asynclab.scenarios import ScenarioFormatError, builtin_example, parse_scenario
+from asynclab.sim import ScenarioError
 
 
 def test_parse_builtin_examples():
@@ -60,9 +61,11 @@ def test_missing_sections_rejected():
     ("graph", {"cycle": 5, "path": 3}, ValueError),
     ("graph", {"n": 5, "edges": [[1, 2]], "m": 1}, ValueError),
     ("design", {"lambda": 1.0, "mu": 1.0, "nu": 1.0}, ValueError),
-    ("saturation", {"rho_s": 1.0, "rho": 2.0}, ValueError),
+    ("saturation", {"rho_s": 1.0}, TypeError),      # a number is its one spelling
     ("schedules", [{"channel_id": 0, "sample_instants": [0.1], "delays": [0.0],
                     "delay": [0.0]}], ValueError),
+    ("horizon", float("inf"), ValueError), ("x0", [float("nan")] * 10, ValueError),
+    ("schedule", {"h_min": 0.012, "h_max": 0.005, "tau_max": 0.005}, ScenarioError),
 ])
 def test_bad_section_is_named(section, value, cause):
     doc, _ = builtin_example(1)

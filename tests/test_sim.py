@@ -140,9 +140,10 @@ def test_zoh_changes_only_at_deliveries():
     rng = np.random.default_rng(12)
     s = random_scenario(rng)
     tr = run(s)
-    deliver_times = {(t, ch) for t, ch, kind in tr.events if kind == "deliver"}
-    for t, ch, _ in tr.held_changes:
-        assert (t, ch) in deliver_times
+    # every drive change after the one at t = 0 is made by a delivery
+    deliveries = [t for t, _, kind in tr.events if kind == "deliver"]
+    assert deliveries
+    assert [t for t, _ in tr.drive_changes[1:]] == deliveries
 
 
 def test_zoh_equals_errored_sample_without_errors():
@@ -209,15 +210,15 @@ def test_saturation_inactive_when_limit_large():
     common = dict(model=OSCILLATOR, gain=0.3 * np.eye(2), x0=[1.0, 0.0, -0.5, 0.5],
                   horizon=2.0, coupling=np.array([[1.0, -0.2], [-0.2, 1.0]]),
                   schedule=ScheduleParams(0.05, 0.1, 0.04), seed=2)
-    loose = run(Scenario(mode="saturated", saturation=100.0, **common))
+    loose = run(Scenario(mode="abstract_coupled", saturation=100.0, **common))
     plain = run(Scenario(mode="abstract_coupled", **common))
     assert np.allclose(loose.final_state, plain.final_state, atol=1e-12)
-    tight = run(Scenario(mode="saturated", saturation=0.05, **common))
+    tight = run(Scenario(mode="abstract_coupled", saturation=0.05, **common))
     assert not np.allclose(tight.final_state, plain.final_state, atol=1e-6)
 
 
 def test_event_triggered_huge_omega_single_update():
-    s = Scenario(mode="event_triggered", model=INTEGRATOR,
+    s = Scenario(mode="abstract_coupled", model=INTEGRATOR,
                  gain=np.array([[1.0]]), x0=[1.0, -1.0], horizon=2.0,
                  coupling=np.array([[1.0, -1.0], [-1.0, 1.0]]),
                  error_model=ErrorModel.event_trigger(1e12, dwell=0.05))
@@ -232,7 +233,7 @@ def test_event_triggered_zeno_freeness():
     for _ in range(10):
         n = int(rng.integers(2, 5))
         G = np.eye(n) * n - 1.0
-        s = Scenario(mode="event_triggered", model=INTEGRATOR,
+        s = Scenario(mode="abstract_coupled", model=INTEGRATOR,
                      gain=np.array([[1.0]]),
                      x0=rng.uniform(-1.0, 1.0, size=n),
                      horizon=2.0, coupling=G,
@@ -245,7 +246,7 @@ def test_event_triggered_zeno_freeness():
 def test_event_triggered_condition_between_updates():
     # Outside the dwell windows the deviation stays below the threshold
     # until the next update (checked on the recorded update instants).
-    s = Scenario(mode="event_triggered", model=OSCILLATOR,
+    s = Scenario(mode="abstract_coupled", model=OSCILLATOR,
                  gain=0.4 * np.eye(2), x0=[1.0, 0.0, -1.0, 0.2], horizon=3.0,
                  coupling=np.array([[1.0, -1.0], [-1.0, 1.0]]),
                  error_model=ErrorModel.event_trigger(0.04, dwell=0.02))
@@ -295,9 +296,31 @@ def test_scenario_validation_errors():
                  graph=cycle_graph(3), x0=[0.0], horizon=1.0)
     with pytest.raises(ScenarioError):   # delays in abstract triggered mode
         run(Scenario(
-            mode="event_triggered", model=INTEGRATOR, gain=[[1.0]],
+            mode="abstract_coupled", model=INTEGRATOR, gain=[[1.0]],
             x0=[0.0], horizon=1.0, coupling=np.eye(1), input_delay=0.1,
             error_model=ErrorModel.event_trigger(0.1, dwell=0.05)))
+    abstract = dict(mode="abstract_coupled", model=INTEGRATOR, gain=[[1.0]],
+                    coupling=np.eye(1), schedule=ScheduleParams(0.1, 0.2, 0.05))
+    for bad in ({"x0": [np.nan], "horizon": 1.0}, {"x0": [0.0], "horizon": np.inf},
+                {"x0": [0.0], "horizon": np.nan}):
+        with pytest.raises(ScenarioError):
+            Scenario(**abstract, **bad)
+    # saturation: finite and positive, on scheduled abstract_coupled runs only
+    for level in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ScenarioError):
+            Scenario(**abstract, x0=[0.0], horizon=1.0, saturation=level)
+    with pytest.raises(ScenarioError):
+        Scenario(**abstract, x0=[0.0], horizon=1.0, saturation=1.0,
+                 error_model=ErrorModel.event_trigger(0.1, dwell=0.05))
+    with pytest.raises(ScenarioError):
+        Scenario(mode="broadcast", model=INTEGRATOR, gain=[[1.0]], graph=cycle_graph(3),
+                 x0=[0.0, 1.0, 2.0], horizon=1.0, saturation=1.0,
+                 schedule=ScheduleParams(0.1, 0.2, 0.05))
+    for h_min, h_max, tau_max in ((0.2, 0.1, 0.0), (0.1, 0.2, 0.15), (-0.1, 0.2, 0.0),
+                                  (0.1, 0.2, -0.01), (np.nan, 0.2, 0.0),
+                                  (0.1, np.nan, 0.0), (0.1, 0.2, np.nan)):
+        with pytest.raises(ScenarioError):
+            ScheduleParams(h_min, h_max, tau_max)
 
 
 # -- engine equivalence -------------------------------------------------------
@@ -326,7 +349,7 @@ def _equivalence_scenario(name):
     if name == "ex2_zero_delay":
         return _example(2, 3.0, schedule={"h_min": 0.02, "h_max": 0.05, "tau_max": 0.0})
     if name == "saturated":
-        return Scenario(mode="saturated", model=OSCILLATOR, gain=0.3 * np.eye(2),
+        return Scenario(mode="abstract_coupled", model=OSCILLATOR, gain=0.3 * np.eye(2),
                         x0=[1.0, 0.0, -0.5, 0.5, 0.2, -0.8], horizon=3.0,
                         coupling=triangle, seed=1, saturation=0.1,
                         schedule=ScheduleParams(0.05, 0.1, 0.04),
@@ -343,7 +366,7 @@ def _equivalence_scenario(name):
                         error_model=ErrorModel.multiplicative(0.05),
                         snapshot_points=40)
     assert name == "event_triggered"
-    return Scenario(mode="event_triggered", model=OSCILLATOR, gain=0.4 * np.eye(2),
+    return Scenario(mode="abstract_coupled", model=OSCILLATOR, gain=0.4 * np.eye(2),
                     x0=[1.0, 0.0, -1.0, 0.2], horizon=3.0, seed=1,
                     coupling=np.array([[1.0, -1.0], [-1.0, 1.0]]),
                     error_model=ErrorModel.event_trigger(0.04, dwell=0.02),
@@ -472,7 +495,7 @@ def test_lyapunov_column_matches_per_row_formula():
 def test_abstract_trigger_rows_in_time_order():
     # The crossing refinement may not move the clock back past a recorded
     # row: it used to, 19 times in this run, by up to 3.4e-4 s.
-    s = Scenario(mode="event_triggered", model=OSCILLATOR,
+    s = Scenario(mode="abstract_coupled", model=OSCILLATOR,
                  gain=0.4 * np.eye(2), x0=[1.0, 0.0, -1.0, 0.2], horizon=3.0,
                  seed=1, coupling=np.array([[1.0, -1.0], [-1.0, 1.0]]),
                  error_model=ErrorModel.event_trigger(0.04, dwell=0.02))
@@ -562,7 +585,7 @@ def test_consensus_watch_across_chunks(monkeypatch):
 def test_divergence_found_when_the_loop_fails_first():
     # A saturated hold of an infinite state raises OverflowError before the
     # statistics pass sees the row; the run still reports the divergence.
-    s = Scenario(mode="saturated", model=LtiModel(A=[[40.0]], B=[[1.0]]),
+    s = Scenario(mode="abstract_coupled", model=LtiModel(A=[[40.0]], B=[[1.0]]),
                  gain=np.array([[0.5]]), x0=[1.0, -0.5], horizon=20.0,
                  coupling=np.array([[1.0, -1.0], [-1.0, 1.0]]), saturation=1.0,
                  schedule=ScheduleParams(0.05, 0.1, 0.04), seed=3)
