@@ -20,6 +20,7 @@ The test suite cross-checks this against a grid-seeded numeric optimizer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -348,8 +349,15 @@ def max_expm_norms(A) -> tuple[float, float]:
     and ten time constants of the slowest decaying mode; the returned values
     are sample maxima (a documented approximation). All samples come from
     one batched expm, one batched svd and one row sum.
+
+    A diagonal A with nonpositive entries needs no samples: e^{As} is
+    diag(e^{a_i s}), so both norms are max_i e^{a_i s} <= 1, with equality
+    at s = 0, and the sup is exactly (1, 1).
     """
     A = np.asarray(A, dtype=float)
+    d = np.diagonal(A)
+    if np.array_equal(A, np.diag(d)) and np.all(d <= 0):
+        return 1.0, 1.0
     eig = np.linalg.eigvals(A)
     T = 1.0
     freqs = np.abs(eig.imag)
@@ -382,30 +390,30 @@ def delta_kappa(model: LtiModel, x0_sum, n: int, h: float,
 def theorem4_error_bound(model: LtiModel, design: GainDesign,
                          algebra: GraphAlgebra, h: float, tau: float,
                          delta_e: float, x0_sum, p: SearchParams,
-                         _norms: tuple[float, float] | None = None) -> float:
+                         _norms=None, _consts=None) -> float:
     """Ultimate consensus-error bound theta * Dbar / Gamma for broadcast
     protocols on marginally stable dynamics with additive errors <= delta_e.
 
     Raises SetMembershipError when (alpha, beta, gamma, eta) lies outside the
-    feasibility set, listing the failed conditions.
+    feasibility set, listing the failed conditions. No condition depends on
+    the e^{As} norm constants, so they are sampled only once all hold.
+    theorem4_report passes the norms as a callable (_norms) and the design
+    constants (_consts), having checked marginal stability itself.
     """
-    _require_marginally_stable(model.A)
+    if _consts is None:
+        _require_marginally_stable(model.A)
+        _consts = design_constants(design, model, algebra)
     n = algebra.graph.n
     c = model.constants
-    consts = design_constants(design, model, algebra)
     lam_n = algebra.lambda_n
     mu, lam_P = design.mu, design.lambda_P
-    max2, maxinf = _norms if _norms is not None else max_expm_norms(model.A)
-
-    dk = delta_kappa(model, x0_sum, n, h, max_norm2=max2)
-    delta = lam_n * consts.sigma_BK * (dk + delta_e)
 
     sigma = theorem4_sigma(design, model, algebra, p.eta)
     decay = mu - lam_P / (2.0 * p.eta) - sigma / (2.0 * p.gamma)
-    C = p.gamma * sigma / 2.0 - mu + lam_P / (2.0 * p.eta) + lam_n * consts.sigma_PB**2
+    C = p.gamma * sigma / 2.0 - mu + lam_P / (2.0 * p.eta) + lam_n * _consts.sigma_PB**2
     s = h + tau
     drift = ((1.0 + 1.0 / p.beta) * c.sigma_A**2
-             + (1.0 + p.beta) * SEVEN_THIRDS * lam_n**2 * consts.sigma_BBtP**2)
+             + (1.0 + p.beta) * SEVEN_THIRDS * lam_n**2 * _consts.sigma_BBtP**2)
     gamma_big = decay - C * (1.0 + p.alpha) * drift * s * s * math.exp(2.0 * c.lambda_As * s)
 
     failures = []
@@ -419,6 +427,9 @@ def theorem4_error_bound(model: LtiModel, design: GainDesign,
         raise SetMembershipError("parameters outside feasibility set: "
                                  + "; ".join(failures))
 
+    max2, maxinf = _norms() if _norms is not None else max_expm_norms(model.A)
+    dk = delta_kappa(model, x0_sum, n, h, max_norm2=max2)
+    delta = lam_n * _consts.sigma_BK * (dk + delta_e)
     dbar = (C * (1.0 + 1.0 / p.alpha) * maxinf**2 * n * s * s * delta**2
             + 0.5 * lam_P * p.eta * delta**2)
     return p.theta * dbar / gamma_big
@@ -428,31 +439,34 @@ def theorem4_bound_opt_beta(model: LtiModel, design: GainDesign,
                             algebra: GraphAlgebra, h: float, tau: float,
                             delta_e: float, x0_sum, alpha: float, gamma: float,
                             eta: float, theta: float = 1.0 + 1e-9,
-                            _norms: tuple[float, float] | None = None):
+                            _norms=None, _consts=None):
     """Error bound with beta at its closed-form optimum (the other search
-    parameters fixed); returns (bound, beta)."""
+    parameters fixed); returns (bound, beta). _norms and _consts pass on to
+    theorem4_error_bound."""
     c = model.constants
-    consts = design_constants(design, model, algebra)
+    consts = _consts if _consts is not None else design_constants(design, model, algebra)
     denom = SEVEN_THIRDS**0.5 * algebra.lambda_n * consts.sigma_BBtP
     beta = _clamp(c.sigma_A / denom) if denom > 0 else PARAM_CEIL
     p = SearchParams(alpha=alpha, beta=beta, gamma=gamma, eta=eta, theta=theta)
     return theorem4_error_bound(model, design, algebra, h, tau, delta_e,
-                                x0_sum, p, _norms=_norms), beta
+                                x0_sum, p, _norms=_norms, _consts=_consts), beta
 
 
 def theorem4_report(model: LtiModel, design: GainDesign, algebra: GraphAlgebra,
                     h: float, tau: float, delta_e: float, x0_sum, alpha: float,
                     gamma: float, eta: float, theta: float = 1.0 + 1e-9) -> dict:
     """Theorem-4 error bound at the optimal beta, with the error level
-    Delta(h) and the mismatch bound delta_kappa it rests on; the e^{As}
-    norm constants are sampled once for all three."""
+    Delta(h) and the mismatch bound delta_kappa it rests on. Marginal
+    stability is checked and the design constants are computed once; the
+    e^{As} norm constants are sampled once for all three, and only when the
+    parameters are feasible."""
     _require_marginally_stable(model.A)
-    norms = max_expm_norms(model.A)
+    consts = design_constants(design, model, algebra)
+    norms = functools.cache(lambda: max_expm_norms(model.A))
     value, beta = theorem4_bound_opt_beta(
         model, design, algebra, h, tau, delta_e, x0_sum, alpha, gamma, eta,
-        theta, _norms=norms)
-    dk = delta_kappa(model, x0_sum, algebra.graph.n, h, max_norm2=norms[0])
-    consts = design_constants(design, model, algebra)
+        theta, _norms=norms, _consts=consts)
+    dk = delta_kappa(model, x0_sum, algebra.graph.n, h, max_norm2=norms()[0])
     return {"feasible": True, "error_bound": value,
             "delta_h": algebra.lambda_n * consts.sigma_BK * (dk + delta_e),
             "delta_kappa": dk,

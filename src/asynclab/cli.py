@@ -12,6 +12,7 @@ Exit codes (stable contract):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -308,7 +309,10 @@ def cmd_reproduce(args):
 
 # -- entry point ------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so every main call parses with the same one."""
     ap = argparse.ArgumentParser(
         prog="asynclab",
         description="Sampled-data multi-agent consensus: gain design, "

@@ -59,6 +59,20 @@ def _int(value) -> int:
     return value
 
 
+def _count(value) -> int:
+    """A positive integer."""
+    if _int(value) < 1:
+        raise ValueError(f"expected at least 1, got {value!r}")
+    return value
+
+
+def _positive(value) -> float:
+    value = _number(value)
+    if not value > 0:
+        raise ValueError(f"expected a positive number, got {value!r}")
+    return value
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -177,7 +191,7 @@ _READERS = {
     "schedule": partial(_record, ScheduleParams, read=_number),
     "schedules": _schedules, "error_model": _error_model, "saturation": _number,
     "input_delay": _number, "lyapunov_P": _floats, "startup": str,
-    "snapshot_points": _int, "stop_at_consensus": _flag, "consensus_tol": _number,
+    "snapshot_points": _count, "stop_at_consensus": _flag, "consensus_tol": _positive,
     "x0": _floats, "horizon": _number, "seed": _int,
     "query": partial(_record, BoundQuery, read=_number),
     "bound_params": _bound_params, "sweep": _sweep,

@@ -258,8 +258,10 @@ class Propagator:
         return self._modal(np.exp(np.asarray(ts, dtype=float)[:, None] * self.w))
 
     def _modal(self, f):
-        """The real matrices V diag(f[k]) V^-1 for each row f[k]."""
-        return ((self.V * f[:, None, :]) @ self.Vi).real
+        """The real matrices V diag(f[k]) V^-1 for each row f[k]. Vi is
+        shared, so the stack is one (K n x n) @ (n x n) product."""
+        K, n = f.shape
+        return ((self.V * f[:, None, :]).reshape(K * n, n) @ self.Vi).real.reshape(K, n, n)
 
 
 class _Engine:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from asynclab import bounds
 from asynclab.bounds import (NORM_SAMPLES, BoundQuery, InfeasibleError, SearchParams,
                              SetMembershipError, _best_margin, _best_witness,
                              _find_budget, _gamma_sup, _margin_at, corollary1_budget,
@@ -378,9 +379,28 @@ def _loop_expm_norms(A):
     [[0.0, 1.0], [-1.0, 0.0]],
     [[-1.0, 1.0], [0.0, -1.0]],
     [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.5], [0.0, 0.0, -0.5]],
-], ids=["zero", "rotation", "jordan_decay", "mixed_3x3"])
+    np.zeros((2, 2)),
+    np.zeros((3, 3)),
+    np.diag([0.0, -1.0]),
+    np.diag([-1.0, -2.0]),
+    np.diag([0.0, -0.3, -7.0]),
+], ids=["zero", "rotation", "jordan_decay", "mixed_3x3", "zero_2x2", "zero_3x3",
+        "diag_0_-1", "diag_-1_-2", "diag_0_-0.3_-7"])
 def test_max_expm_norms_batched_equals_loop(A):
     assert max_expm_norms(A) == _loop_expm_norms(A)
+
+
+def test_max_expm_norms_diagonal_takes_no_samples(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a diagonal A needs no sampled e^{As}")
+    monkeypatch.setattr(bounds, "expm", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    for A in ([[0.0]], np.zeros((3, 3)), np.diag([0.0, -1.0]), np.diag([-1.0, -2.0])):
+        assert max_expm_norms(A) == (1.0, 1.0)
+    # an off-diagonal entry or a positive one takes the sampled scan
+    for A in ([[0.0, 1.0], [-1.0, 0.0]], [[1.0]]):
+        with pytest.raises(AssertionError, match="no sampled"):
+            max_expm_norms(A)
 
 
 def test_delta_kappa_vanishes_for_integrators():

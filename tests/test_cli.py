@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from asynclab import bounds
-from asynclab.cli import EXPORT_BLOCK, main, write_event_log, write_trace_csv
+from asynclab import bounds, cli
+from asynclab.cli import EXPORT_BLOCK, build_parser, main, write_event_log, write_trace_csv
 from asynclab.scenarios import ScenarioFormatError, builtin_example, parse_scenario
 from asynclab.sim import ScenarioError, run
 
@@ -140,6 +140,35 @@ def test_theorem4_norms_sampled_once(ex_file, capsys, monkeypatch, command):
     code, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
+
+
+def test_theorem4_infeasible_samples_no_norms(ex_file, capsys, monkeypatch):
+    # example 1's oscillators fail the decay and Gamma conditions at the
+    # default parameters, which no e^{As} norm enters
+    def fail(*args, **kwargs):
+        raise AssertionError("norms sampled for an infeasible query")
+    monkeypatch.setattr(bounds, "max_expm_norms", fail)
+    code, out = run_cli(capsys, "bound", ex_file(1), "--theorem", "4")
+    assert code == 3
+    assert json.loads(out) == {
+        "feasible": False,
+        "error": "parameters outside feasibility set: mu - lambda_P/(2 eta) - "
+                 "sigma/(2 gamma) > 0; Gamma(h, tau, alpha, beta, gamma, eta) > 0"}
+
+
+def test_parser_is_built_once_and_keeps_no_state(ex_file, tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    seeds = []
+    simulate = cli.run
+
+    def recorded(s):
+        seeds.append(s.seed)
+        return simulate(s)
+    monkeypatch.setattr(cli, "run", recorded)
+    assert run_cli(capsys, "--seed", "5", "run", ex_file(2, horizon=1.0),
+                   "--out", str(tmp_path / "out"))[0] == 0
+    assert run_cli(capsys, "reproduce", "--example", "3")[0] == 0
+    assert seeds == [5, 0]
 
 
 def test_bound_infeasible_exits_3(tmp_path, capsys):
@@ -359,6 +388,10 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
      "schedule"),
     ("run", _doc(2, schedule={"h_min": -0.02, "h_max": 0.05, "tau_max": 0.0}), 2,
      "schedule"),
+    ("run", _doc(2, snapshot_points=-5), 2, "snapshot_points"),
+    ("run", _doc(2, snapshot_points=0), 2, "snapshot_points"),
+    ("run", _doc(2, consensus_tol=-1.0), 2, "consensus_tol"),
+    ("run", _doc(2, consensus_tol=0.0), 2, "consensus_tol"),
 ], ids=["negative_design_lambda", "schedule_without_delays", "schedule_and_schedules",
         "seed_not_an_integer", "cycle_size_not_an_integer", "error_model_not_an_object",
         "repeated_sweep_seed",
@@ -373,7 +406,9 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
         "sweep_unknown_key", "design_unknown_key", "nan_x0", "inf_horizon", "nan_horizon",
         "nan_omega", "nan_cap", "nan_input_delay", "nan_consensus_tol", "integer_too_large",
         "integer_too_large_in_array", "infinite_query_value",
-        "negative_delta_e", "h_min_above_h_max", "tau_max_above_h_min", "negative_h_min"])
+        "negative_delta_e", "h_min_above_h_max", "tau_max_above_h_min", "negative_h_min",
+        "negative_snapshot_points", "zero_snapshot_points", "negative_consensus_tol",
+        "zero_consensus_tol"])
 def test_exit_codes(tmp_path, capsys, command, doc, code, names):
     path, out_dir = tmp_path / "doc.json", tmp_path / "out"
     path.write_text(json.dumps(doc))

@@ -66,6 +66,7 @@ def test_missing_sections_rejected():
                     "delay": [0.0]}], ValueError),
     ("horizon", float("inf"), ValueError), ("x0", [float("nan")] * 10, ValueError),
     ("schedule", {"h_min": 0.012, "h_max": 0.005, "tau_max": 0.005}, ScenarioError),
+    ("snapshot_points", -5, ValueError), ("consensus_tol", -1.0, ValueError),
 ])
 def test_bad_section_is_named(section, value, cause):
     doc, _ = builtin_example(1)

@@ -539,6 +539,22 @@ def test_exps_are_the_exponentials_of_pairs(A):
     assert np.array_equal(prop.exps(ts), prop.pairs(ts)[0])
 
 
+def test_modal_product_equals_the_stacked_one():
+    # _modal multiplies the whole stack by the shared V^-1 at once; it must
+    # give the bits of one small product per matrix, layout included.
+    rng = np.random.default_rng(41)
+    for k in range(200):
+        n = int(rng.integers(1, 6))
+        A = rng.standard_normal((n, n))
+        prop = sim.Propagator(A - A.T if k % 2 else A)
+        if not prop._diag:
+            continue
+        f = np.exp(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 3000)), 1)) * prop.w)
+        got = prop._modal(f)
+        want = ((prop.V * f[:, None, :]) @ prop.Vi).real
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+
 def _consensus_reference(t, delta_sq, tol):
     """The consensus watch row by row: (consensus time, its row or None)."""
     below_since = consensus = row = None
