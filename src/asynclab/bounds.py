@@ -20,15 +20,14 @@ The test suite cross-checks this against a grid-seeded numeric optimizer.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .design import GainDesign, design_constants, theorem4_sigma, verify_lyapunov_family
 from .graphs import GraphAlgebra, is_connected
-from .matan import LtiModel, expm
+from .matan import LtiModel, expm, lemma1_bounds, max_singular_value
 
 SEVEN_THIRDS = 7.0 / 3.0
 # Clamps for witness parameters whose exact optimum is a limit (0 or infinity).
@@ -94,11 +93,7 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        w = None
-        if self.witness is not None:
-            w = {"alpha": self.witness.alpha, "beta": self.witness.beta,
-                 "gamma": self.witness.gamma, "eta": self.witness.eta,
-                 "theta": self.witness.theta}
+        w = None if self.witness is None else asdict(self.witness)
         return {"feasible": self.feasible, "budget": self.budget,
                 "witness": w, "margin": self.margin,
                 "unbounded": self.unbounded, "diagnostics": self.diagnostics,
@@ -336,11 +331,6 @@ def marginally_stable(A) -> bool:
     return True
 
 
-def _require_marginally_stable(A):
-    if not marginally_stable(A):
-        raise InfeasibleError("A must be marginally stable for the broadcast bound")
-
-
 def max_expm_norms(A) -> tuple[float, float]:
     """Sampled sup over s >= 0 of ||e^{As}||_2 and of the maximum row sum
     norm ||e^{As}||_inf, for marginally stable A.
@@ -377,32 +367,20 @@ def delta_kappa(model: LtiModel, x0_sum, n: int, h: float,
                 max_norm2: float | None = None) -> float:
     """Bound on the held-vs-true consensus-trajectory mismatch induced by
     sampling the drifting average with period at most h."""
-    c = model.constants
     if max_norm2 is None:
         max_norm2, _ = max_expm_norms(model.A)
-    if abs(c.lambda_As) < 1e-10:
-        growth = c.sigma_A * h
-    else:
-        growth = c.sigma_A * (math.exp(c.lambda_As * h) - 1.0) / c.lambda_As
+    growth = lemma1_bounds(model.constants, h)[1]     # bounds ||e^{Ah} - I||_2
     return (1.0 / math.sqrt(n)) * float(np.linalg.norm(x0_sum)) * max_norm2 * growth
 
 
-def theorem4_error_bound(model: LtiModel, design: GainDesign,
-                         algebra: GraphAlgebra, h: float, tau: float,
-                         delta_e: float, x0_sum, p: SearchParams,
-                         _norms=None, _consts=None) -> float:
-    """Ultimate consensus-error bound theta * Dbar / Gamma for broadcast
-    protocols on marginally stable dynamics with additive errors <= delta_e.
-
-    Raises SetMembershipError when (alpha, beta, gamma, eta) lies outside the
-    feasibility set, listing the failed conditions. No condition depends on
-    the e^{As} norm constants, so they are sampled only once all hold.
-    theorem4_report passes the norms as a callable (_norms) and the design
-    constants (_consts), having checked marginal stability itself.
-    """
-    if _consts is None:
-        _require_marginally_stable(model.A)
-        _consts = design_constants(design, model, algebra)
+def _theorem4(model: LtiModel, design: GainDesign, algebra: GraphAlgebra,
+              h: float, tau: float, delta_e: float, x0_sum, p: SearchParams):
+    """(error bound, Delta(h), delta_kappa) of theorem 4 at the search
+    parameters p. The e^{As} norm constants enter no feasibility condition,
+    so they are sampled once, after every condition holds."""
+    if not marginally_stable(model.A):
+        raise InfeasibleError("A must be marginally stable for the broadcast bound")
+    consts = design_constants(design, model, algebra)
     n = algebra.graph.n
     c = model.constants
     lam_n = algebra.lambda_n
@@ -410,10 +388,10 @@ def theorem4_error_bound(model: LtiModel, design: GainDesign,
 
     sigma = theorem4_sigma(design, model, algebra, p.eta)
     decay = mu - lam_P / (2.0 * p.eta) - sigma / (2.0 * p.gamma)
-    C = p.gamma * sigma / 2.0 - mu + lam_P / (2.0 * p.eta) + lam_n * _consts.sigma_PB**2
+    C = p.gamma * sigma / 2.0 - mu + lam_P / (2.0 * p.eta) + lam_n * consts.sigma_PB**2
     s = h + tau
     drift = ((1.0 + 1.0 / p.beta) * c.sigma_A**2
-             + (1.0 + p.beta) * SEVEN_THIRDS * lam_n**2 * _consts.sigma_BBtP**2)
+             + (1.0 + p.beta) * SEVEN_THIRDS * lam_n**2 * consts.sigma_BBtP**2)
     gamma_big = decay - C * (1.0 + p.alpha) * drift * s * s * math.exp(2.0 * c.lambda_As * s)
 
     failures = []
@@ -427,51 +405,56 @@ def theorem4_error_bound(model: LtiModel, design: GainDesign,
         raise SetMembershipError("parameters outside feasibility set: "
                                  + "; ".join(failures))
 
-    max2, maxinf = _norms() if _norms is not None else max_expm_norms(model.A)
+    max2, maxinf = max_expm_norms(model.A)
     dk = delta_kappa(model, x0_sum, n, h, max_norm2=max2)
-    delta = lam_n * _consts.sigma_BK * (dk + delta_e)
+    delta = lam_n * consts.sigma_BK * (dk + delta_e)
     dbar = (C * (1.0 + 1.0 / p.alpha) * maxinf**2 * n * s * s * delta**2
             + 0.5 * lam_P * p.eta * delta**2)
-    return p.theta * dbar / gamma_big
+    return p.theta * dbar / gamma_big, delta, dk
+
+
+def _opt_beta(model: LtiModel, design: GainDesign, algebra: GraphAlgebra,
+              alpha, gamma, eta, theta) -> SearchParams:
+    """Theorem 4's search parameters with beta at its closed-form optimum."""
+    sigma_BBtP = max_singular_value(model.B @ model.B.T @ design.P)
+    denom = SEVEN_THIRDS**0.5 * algebra.lambda_n * sigma_BBtP
+    beta = _clamp(model.constants.sigma_A / denom) if denom > 0 else PARAM_CEIL
+    return SearchParams(alpha=alpha, beta=beta, gamma=gamma, eta=eta, theta=theta)
+
+
+def theorem4_error_bound(model: LtiModel, design: GainDesign,
+                         algebra: GraphAlgebra, h: float, tau: float,
+                         delta_e: float, x0_sum, p: SearchParams) -> float:
+    """Ultimate consensus-error bound theta * Dbar / Gamma for broadcast
+    protocols on marginally stable dynamics with additive errors <= delta_e.
+
+    Raises SetMembershipError when (alpha, beta, gamma, eta) lies outside the
+    feasibility set, listing the failed conditions.
+    """
+    return _theorem4(model, design, algebra, h, tau, delta_e, x0_sum, p)[0]
 
 
 def theorem4_bound_opt_beta(model: LtiModel, design: GainDesign,
                             algebra: GraphAlgebra, h: float, tau: float,
                             delta_e: float, x0_sum, alpha: float, gamma: float,
-                            eta: float, theta: float = 1.0 + 1e-9,
-                            _norms=None, _consts=None):
+                            eta: float, theta: float = SearchParams.theta):
     """Error bound with beta at its closed-form optimum (the other search
-    parameters fixed); returns (bound, beta). _norms and _consts pass on to
-    theorem4_error_bound."""
-    c = model.constants
-    consts = _consts if _consts is not None else design_constants(design, model, algebra)
-    denom = SEVEN_THIRDS**0.5 * algebra.lambda_n * consts.sigma_BBtP
-    beta = _clamp(c.sigma_A / denom) if denom > 0 else PARAM_CEIL
-    p = SearchParams(alpha=alpha, beta=beta, gamma=gamma, eta=eta, theta=theta)
-    return theorem4_error_bound(model, design, algebra, h, tau, delta_e,
-                                x0_sum, p, _norms=_norms, _consts=_consts), beta
+    parameters fixed); returns (bound, beta)."""
+    p = _opt_beta(model, design, algebra, alpha, gamma, eta, theta)
+    return _theorem4(model, design, algebra, h, tau, delta_e, x0_sum, p)[0], p.beta
 
 
 def theorem4_report(model: LtiModel, design: GainDesign, algebra: GraphAlgebra,
-                    h: float, tau: float, delta_e: float, x0_sum, alpha: float,
-                    gamma: float, eta: float, theta: float = 1.0 + 1e-9) -> dict:
+                    h: float, tau: float, delta_e: float, x0_sum, alpha: float = 0.5,
+                    gamma: float = 3.188, eta: float = 1.6,
+                    theta: float = SearchParams.theta) -> dict:
     """Theorem-4 error bound at the optimal beta, with the error level
-    Delta(h) and the mismatch bound delta_kappa it rests on. Marginal
-    stability is checked and the design constants are computed once; the
-    e^{As} norm constants are sampled once for all three, and only when the
-    parameters are feasible."""
-    _require_marginally_stable(model.A)
-    consts = design_constants(design, model, algebra)
-    norms = functools.cache(lambda: max_expm_norms(model.A))
-    value, beta = theorem4_bound_opt_beta(
-        model, design, algebra, h, tau, delta_e, x0_sum, alpha, gamma, eta,
-        theta, _norms=norms, _consts=consts)
-    dk = delta_kappa(model, x0_sum, algebra.graph.n, h, max_norm2=norms()[0])
-    return {"feasible": True, "error_bound": value,
-            "delta_h": algebra.lambda_n * consts.sigma_BK * (dk + delta_e),
-            "delta_kappa": dk,
-            "witness": {"alpha": alpha, "beta": beta, "gamma": gamma,
-                        "eta": eta, "theta": theta}}
+    Delta(h) and the mismatch bound delta_kappa it rests on. The defaults
+    are the search parameters of the paper's broadcast example."""
+    p = _opt_beta(model, design, algebra, alpha, gamma, eta, theta)
+    bound, delta_h, dk = _theorem4(model, design, algebra, h, tau, delta_e, x0_sum, p)
+    return {"feasible": True, "error_bound": bound, "delta_h": delta_h,
+            "delta_kappa": dk, "witness": asdict(p)}
 
 
 def corollary1_budget(*args, quant_level: float):

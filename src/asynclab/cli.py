@@ -7,6 +7,8 @@ Exit codes (stable contract):
     3  infeasible bound query
     4  runtime failure during simulation
     5  golden-value mismatch in `reproduce`
+  141  stdout closed before the report was written (as a shell reports a
+       process ended by SIGPIPE); nothing more is written
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_RUNTIME = 4
 EXIT_GOLDEN = 5
+EXIT_CLOSED_STDOUT = 141
 
 # Failures of a simulation run, reported with EXIT_RUNTIME.
 RUN_ERRORS = (ScheduleError, RuntimeError, OverflowError)
@@ -96,8 +99,7 @@ def _pipeline_inputs(doc, s=None):
     return model, riccati_design(model, lam, mu), build_algebra(graph)
 
 
-def _theorem4(doc, s, h=None, tau=None, delta_e=None, alpha=0.5, gamma=3.188,
-              eta=1.6, theta=1.0 + 1e-9):
+def _theorem4(doc, s, h=None, tau=None, delta_e=None, **params):
     """Theorem 4's report. The keywords are the keys of the 'bound_params'
     section; h, tau and delta_e default to the schedule's h_max and tau_max
     and to the error model's cap (event trigger) or delta_e."""
@@ -113,7 +115,7 @@ def _theorem4(doc, s, h=None, tau=None, delta_e=None, alpha=0.5, gamma=3.188,
     x0 = scenarios.read(doc, "x0", shape=(algebra.graph.n, model.N))
     x0_sum = np.zeros(model.N) if x0 is None else x0.sum(axis=0)
     return bounds.theorem4_report(model, design, algebra, h, tau, delta_e, x0_sum,
-                                  alpha, gamma, eta, theta)
+                                  **params)
 
 
 def _bound(doc, theorem, s=None) -> dict:
@@ -345,18 +347,28 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; the one place that maps an input or infeasibility
-    error to its exit code."""
+    """Run one command; the one place that maps an input, infeasibility or
+    closed-stdout error to its exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (InfeasibleError, SetMembershipError) as exc:
-        _emit({"feasible": False, "error": str(exc)})
-        return EXIT_INFEASIBLE
-    except (OSError, ValueError, KeyError, TypeError, DesignError) as exc:
-        # JSON decode, scenario and schedule errors are ValueErrors
-        _emit({"error": str(exc)})
-        return EXIT_INVALID
+        try:
+            code = args.func(args)
+        except (InfeasibleError, SetMembershipError) as exc:
+            _emit({"feasible": False, "error": str(exc)})
+            code = EXIT_INFEASIBLE
+        except BrokenPipeError:
+            raise
+        except (OSError, ValueError, KeyError, TypeError, DesignError) as exc:
+            # JSON decode, scenario and schedule errors are ValueErrors
+            _emit({"error": str(exc)})
+            code = EXIT_INVALID
+        sys.stdout.flush()      # here, not at interpreter exit, where no handler runs
+    except BrokenPipeError:
+        # The reader closed stdout. Drop it, so that neither this process
+        # nor the interpreter's flush at exit writes to the pipe again.
+        sys.stdout = None
+        return EXIT_CLOSED_STDOUT
+    return code
 
 
 if __name__ == "__main__":

@@ -87,7 +87,6 @@ class DesignConstants:
     """Spectral constants derived from a gain design and a topology."""
 
     lambda_PBK_s: float
-    lambda_P: float
     sigma_PB: float
     sigma_BBtP: float
     sigma_BK: float
@@ -109,7 +108,6 @@ def design_constants(design: GainDesign, model: LtiModel,
         np.kron(algebra.edge_laplacian, PBK) - 2.0 * mu * np.eye(m * N))
     return DesignConstants(
         lambda_PBK_s=symmetric_part_max_eig(PBK),
-        lambda_P=design.lambda_P,
         sigma_PB=max_singular_value(P @ B),
         sigma_BBtP=max_singular_value(B @ B.T @ P),
         sigma_BK=max_singular_value(B @ K),

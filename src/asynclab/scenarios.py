@@ -162,12 +162,17 @@ def _error_model(sec) -> ErrorModel:
                                     cap=None if cap is None else _number(cap))
 
 
-# The parameters of theorem 4 that a bound_params section may set.
+# The parameters of theorem 4 that a bound_params section may set; the
+# lags h and tau and the error level delta_e are nonnegative.
 _BOUND_PARAMS = ("h", "tau", "delta_e", "alpha", "gamma", "eta", "theta")
 
 
 def _bound_params(sec) -> dict:
-    return {key: _number(value) for key, value in _keyed(sec, _BOUND_PARAMS).items()}
+    params = {key: _number(value) for key, value in _keyed(sec, _BOUND_PARAMS).items()}
+    for key in ("h", "tau", "delta_e"):
+        if params.get(key, 0.0) < 0:
+            raise ValueError(f"{key} must be nonnegative, got {params[key]!r}")
+    return params
 
 
 def _sweep(sec) -> list[int]:

@@ -158,6 +158,11 @@ class Scenario:
         if self.schedules is not None and len(self.schedules) != self.n_channels:
             raise ScenarioError(f"expected {self.n_channels} schedules, "
                                 f"got {len(self.schedules)}")
+        for sc in self.schedules or ():
+            try:    # structural admissibility only; no (h, tau) caps are declared
+                validate_schedule(sc, math.inf, math.inf)
+            except ScheduleError as exc:
+                raise ScenarioError(f"schedules of channel {sc.channel_id}: {exc}") from exc
 
     @property
     def monitored(self) -> bool:
@@ -504,16 +509,13 @@ class _Engine:
 
 
 def _build_schedules(s: Scenario) -> list[ChannelSchedule]:
-    if s.schedules is not None:
-        # structural admissibility only; no (h, tau) caps are declared
-        scheds, h_cap, tau_cap = list(s.schedules), math.inf, math.inf
-    else:
-        p = s.schedule
-        scheds = [generate_schedule(p.h_min, p.h_max, p.tau_max, s.horizon,
-                                    s.seed, ch) for ch in range(s.n_channels)]
-        h_cap, tau_cap = p.h_max, p.tau_max
+    if s.schedules is not None:     # checked when the scenario was built
+        return list(s.schedules)
+    p = s.schedule
+    scheds = [generate_schedule(p.h_min, p.h_max, p.tau_max, s.horizon,
+                                s.seed, ch) for ch in range(s.n_channels)]
     for sc in scheds:
-        validate_schedule(sc, h_cap, tau_cap)
+        validate_schedule(sc, p.h_max, p.tau_max)
     return scheds
 
 

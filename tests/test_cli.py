@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -126,20 +128,74 @@ def test_bound_unbounded_is_null_in_strict_json(tmp_path, capsys):
     assert report["details"]["total_lag_budget"] is None
 
 
-@pytest.mark.parametrize("command", ["bound", "reproduce"])
-def test_theorem4_norms_sampled_once(ex_file, capsys, monkeypatch, command):
-    calls = []
-    sampled = bounds.max_expm_norms
+# A feasible theorem-4 query on example 1's oscillators: its A is not
+# diagonal, so the norms come from the batched Pade scan.
+FEASIBLE_OSCILLATOR = {"h": 1e-4, "tau": 0.0, "alpha": 0.5, "gamma": 40.0, "eta": 3.0}
+
+
+@pytest.mark.parametrize("command, example, expm_calls", [
+    ("bound", 3, 0), ("reproduce", 3, 0), ("bound", 1, 1),
+], ids=["bound", "reproduce", "non_diagonal_bound"])
+def test_theorem4_norms_sampled_once(ex_file, capsys, monkeypatch, command, example,
+                                     expm_calls):
+    calls, expms = [], []
+    sampled, exponential = bounds.max_expm_norms, bounds.expm
 
     def counted(*args, **kwargs):
         calls.append(args)
         return sampled(*args, **kwargs)
+
+    def counted_expm(M, t=1.0):
+        expms.append(np.shape(t))
+        return exponential(M, t)
     monkeypatch.setattr(bounds, "max_expm_norms", counted)
-    argv = (["bound", ex_file(3), "--theorem", "4"] if command == "bound"
-            else ["reproduce", "--example", "3"])
+    monkeypatch.setattr(bounds, "expm", counted_expm)
+    if command == "bound":
+        params = FEASIBLE_OSCILLATOR if example == 1 else None
+        argv = ["bound", ex_file(example, bound_params=params), "--theorem", "4"]
+    else:
+        argv = ["reproduce", "--example", str(example)]
     code, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
+    assert expms == [(bounds.NORM_SAMPLES,)] * expm_calls
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: the named method raises."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing, self.writes = failing, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("example, theorem", [(3, "4"), (1, "4"), (3, None)],
+                         ids=["bound", "bound_infeasible", "reproduce"])
+def test_closed_stdout_exits_141(ex_file, monkeypatch, failing, example, theorem):
+    # write fails as an unbuffered stdout does, flush as a buffered one at
+    # the end of the command; either way nothing more is written
+    stdout = _ClosedStdout(failing)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    argv = (["bound", ex_file(example), "--theorem", theorem] if theorem
+            else ["reproduce", "--example", str(example)])
+    assert main(argv) == cli.EXIT_CLOSED_STDOUT == 141
+    assert sys.stdout is None
+    if failing == "write":
+        assert stdout.writes == 1
+    else:   # the whole report was written before the flush failed
+        written = stdout.getvalue()
+        assert _strict_loads(written[written.index("{"):])
 
 
 def test_theorem4_infeasible_samples_no_norms(ex_file, capsys, monkeypatch):
@@ -392,6 +448,16 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
     ("run", _doc(2, snapshot_points=0), 2, "snapshot_points"),
     ("run", _doc(2, consensus_tol=-1.0), 2, "consensus_tol"),
     ("run", _doc(2, consensus_tol=0.0), 2, "consensus_tol"),
+    ("bound 4", _doc(3, bound_params={"delta_e": -0.5}), 2, "bound_params"),
+    ("bound 4", _doc(3, bound_params={"tau": -0.02}), 2, "bound_params"),
+    ("bound 4", _doc(3, bound_params={"h": -0.5}), 2, "bound_params"),
+    # explicit schedules violating Assumption 1 are bad input, not a failed run
+    ("run", _without_schedule(_doc(2), schedules=[
+        {"channel_id": ch, "sample_instants": [0.1, 0.1], "delays": [0.0, 0.0]}
+        for ch in range(5)]), 2, "schedules"),
+    ("run", _without_schedule(_doc(2), schedules=[
+        {"channel_id": ch, "sample_instants": [0.1, 0.2], "delays": [0.15, 0.0]}
+        for ch in range(5)]), 2, "schedules"),
 ], ids=["negative_design_lambda", "schedule_without_delays", "schedule_and_schedules",
         "seed_not_an_integer", "cycle_size_not_an_integer", "error_model_not_an_object",
         "repeated_sweep_seed",
@@ -408,7 +474,9 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
         "integer_too_large_in_array", "infinite_query_value",
         "negative_delta_e", "h_min_above_h_max", "tau_max_above_h_min", "negative_h_min",
         "negative_snapshot_points", "zero_snapshot_points", "negative_consensus_tol",
-        "zero_consensus_tol"])
+        "zero_consensus_tol", "negative_bound_delta_e", "negative_bound_tau",
+        "negative_bound_h", "schedule_instants_not_increasing",
+        "schedule_delay_not_below_gap"])
 def test_exit_codes(tmp_path, capsys, command, doc, code, names):
     path, out_dir = tmp_path / "doc.json", tmp_path / "out"
     path.write_text(json.dumps(doc))
@@ -455,19 +523,6 @@ def test_reproduce_seed_defaults_to_0(capsys, monkeypatch):
     assert run_cli(capsys, "reproduce", "--example", "2")[0] == 0
     assert run_cli(capsys, "--seed", "5", "reproduce", "--example", "2")[0] == 0
     assert seeds == [0, 5]
-
-
-def test_run_runtime_error_exits_4(ex_file, tmp_path, capsys):
-    # Explicit schedules violating Assumption 1 fail at runtime.
-    doc, _ = builtin_example(2)
-    del doc["schedule"]
-    doc["schedules"] = [{"channel_id": ch,
-                         "sample_instants": [0.1, 0.1],
-                         "delays": [0.0, 0.0]} for ch in range(5)]
-    path = tmp_path / "badsched.json"
-    path.write_text(json.dumps(doc))
-    code, _ = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "o"))
-    assert code == 4
 
 
 def test_reproduce_examples_pass(capsys, ex_file, monkeypatch):
