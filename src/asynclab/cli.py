@@ -290,8 +290,6 @@ def cmd_reproduce(args):
         all_pass &= ok
         rows.append({"name": name, "expected": expected, "computed": got,
                      "tolerance": tol, "pass": bool(ok)})
-        print(f"  {'PASS' if ok else 'FAIL'}  {name}: computed {got} "
-              f"(expected {expected} +- {tol})")
     try:
         trace = run(s)
     except RUN_ERRORS as exc:

@@ -76,7 +76,10 @@ def generate_schedule(h_min: float, h_max: float, tau_max: float,
 def validate_schedule(sched: ChannelSchedule, h: float, tau: float) -> None:
     """Independent admissibility checker: gaps at most h, each delay strictly
     below the following gap and at most tau, delivery instants strictly
-    increasing. Raises ScheduleError on the first violation."""
+    increasing. Raises ScheduleError on the first violation.
+
+    A gap may exceed h by half a unit in the last place of its later instant:
+    instants that are running sums of gaps round by that much."""
     t = np.asarray(sched.sample_instants, dtype=float)
     d = np.asarray(sched.delays, dtype=float)
     if t.shape != d.shape:
@@ -86,7 +89,7 @@ def validate_schedule(sched: ChannelSchedule, h: float, tau: float) -> None:
     gaps = np.diff(t)
     if np.any(gaps <= 0):
         raise ScheduleError("sample instants must be strictly increasing")
-    if np.any(gaps > h * (1.0 + 1e-12)):
+    if np.any(gaps - h > 0.5 * np.spacing(t[1:])):
         raise ScheduleError(f"sampling gap exceeds h = {h}")
     if np.any(d < 0):
         raise ScheduleError("delays must be nonnegative")

@@ -163,7 +163,8 @@ def _error_model(sec) -> ErrorModel:
 
 
 # The parameters of theorem 4 that a bound_params section may set; the
-# lags h and tau and the error level delta_e are nonnegative.
+# lags h and tau and the error level delta_e are nonnegative, the search
+# parameters alpha, gamma and eta positive, and theta above 1.
 _BOUND_PARAMS = ("h", "tau", "delta_e", "alpha", "gamma", "eta", "theta")
 
 
@@ -172,6 +173,11 @@ def _bound_params(sec) -> dict:
     for key in ("h", "tau", "delta_e"):
         if params.get(key, 0.0) < 0:
             raise ValueError(f"{key} must be nonnegative, got {params[key]!r}")
+    for key in ("alpha", "gamma", "eta"):
+        if params.get(key, 1.0) <= 0:
+            raise ValueError(f"{key} must be positive, got {params[key]!r}")
+    if params.get("theta", 2.0) <= 1:
+        raise ValueError(f"theta must exceed 1, got {params['theta']!r}")
     return params
 
 

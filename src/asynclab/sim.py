@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -272,13 +272,13 @@ class Propagator:
 class _Engine:
     """State, holds and trace rows shared by all simulation modes.
 
-    The event loops record only (t, X) per row; settle() derives every other
-    column in vectorized passes over the recorded rows."""
+    The event loops record only (t, X) per row. settle() derives delta_sq,
+    the one column the loops act on, as the rows come; finish() derives the
+    others once, after the loop, in vectorized passes over the rows."""
 
     def __init__(self, s: Scenario, rows: int):
         self.s = s
         N = s.model.N
-        self.N = N
         self.units = s.n_units
         self.channels = s.n_channels
         self.X = s.x0.reshape(self.units, N).copy()
@@ -301,31 +301,21 @@ class _Engine:
         self.t = 0.0
         self.events = []
         self.drive_changes = [(0.0, self.drive)]
+        self.track_tilde = s.mode == "broadcast"
+        # broadcasts as delivered: (time, channel, sampled value, sampling time)
+        self.deliveries = []
         # preallocated trace columns: rows[:n_rows] hold (t, X), and
-        # rows[:n_settled] also the columns that settle() derives
+        # rows[:n_settled] also delta_sq
         self.n_rows = self.n_settled = 0
         self.row_t = np.empty(rows)
         self.row_x = np.empty((rows, self.units, N))
         self.row_dsq = np.empty(rows)
-        self.lyapunov_P = s.lyapunov_P if s.mode == "relative_edges" else None
-        self.track_tilde = s.mode == "broadcast"
-        # columns a mode does not use stay empty
-        self.row_tilde = np.empty(rows if self.track_tilde else 0)
-        self.row_v = np.empty(rows if self.lyapunov_P is not None else 0)
-        if self.track_tilde:
-            # disagreements held since the last deliveries, and the
-            # deliveries not yet settled: (time, channel, sampled value,
-            # sampling time)
-            self.delta_tilde = self.X - self.kappa0
-            self.tilde_sq = float((self.delta_tilde ** 2).sum())
-            self.deliveries = []
         self.err_rngs = [channel_rng(s.seed, ch, stream=1)
                          for ch in range(self.channels)]
         d0 = self.X - self.kappa0 if self.consensus_mode else self.X
         self.consensus_tol = (s.consensus_tol if s.consensus_tol is not None
                               else 1e-8 * (1.0 + float(np.sum(d0 * d0))))
-        self.below_since = None
-        self.consensus_time = None
+        self.below_since = None     # start of the run of rows below the tolerance
         self.stopped = False    # cut at the consensus row (stop_at_consensus)
         self.snapshot()     # the row at t = 0; holds set at t = 0 do not move it
 
@@ -360,32 +350,26 @@ class _Engine:
             return X[head - 1] - X[tail - 1]
         return X[ch]
 
-    def recompute_drive(self):
-        H = self.H
+    def set_hold(self, ch, value):
+        """Hold value, saturated when the scenario saturates, on channel ch
+        and recompute the drive."""
         if self.s.saturation is not None:
-            H = H.copy()
-            for j in range(self.channels):
-                if self.H_live[j]:
-                    _, H[j] = saturation_scale(H[j], self.s.saturation)
+            _, value = saturation_scale(value, self.s.saturation)
+        self.H[ch] = value
+        self.H_live[ch] = True
         couple = self.couple
         if self.s.mode == "broadcast" and not np.all(self.H_live):
             # Before an agent's first broadcast arrives, the pairwise
             # controller terms involving it are absent (not zero-valued):
             # restrict the Laplacian to edges with both holds live.
             couple = self._masked_laplacian()
-        self.drive = -(couple.dot(H.dot(self.KT)))
+        self.drive = -(couple.dot(self.H.dot(self.KT)))
         self.drive_changes.append((self.t, self.drive))
 
     def _masked_laplacian(self):
         inc = self.algebra.incidence
         live = np.abs(inc).T @ ~self.H_live == 0     # no endpoint without a hold
         return (inc * live) @ inc.T
-
-    def set_hold(self, ch, value):
-        """Hold value on channel ch."""
-        self.H[ch] = value
-        self.H_live[ch] = True
-        self.recompute_drive()
 
     # -- measurement ------------------------------------------------------
     def measure(self, ch, value):
@@ -408,19 +392,19 @@ class _Engine:
         if r < 0 or self.row_t[r] != self.t:
             r += 1
             if r == len(self.row_t):
-                self.row_t, self.row_x, self.row_dsq, self.row_tilde, self.row_v = (
-                    np.concatenate([c, np.empty_like(c)]) for c in
-                    (self.row_t, self.row_x, self.row_dsq, self.row_tilde, self.row_v))
+                self.row_t, self.row_x, self.row_dsq = (
+                    np.concatenate([c, np.empty_like(c)])
+                    for c in (self.row_t, self.row_x, self.row_dsq))
             self.n_rows += 1
             self.row_t[r] = self.t
         self.row_x[r] = self.X
 
     def settle(self, final=False):
-        """Derive delta_sq, delta_tilde_sq and V for the rows recorded since
-        the last pass, FLOW_CHUNK rows at a time, check that they are finite
-        and run the consensus watch over them. The last row waits for the
-        next pass unless final, since an event at its time may still refresh
-        it. With stop_at_consensus the trace is cut at the consensus row."""
+        """Derive delta_sq for the rows recorded since the last pass,
+        FLOW_CHUNK rows at a time, and check that it is finite. The last row
+        waits for the next pass unless final, since an event at its time may
+        still refresh it. With stop_at_consensus the trace is cut at the
+        consensus row."""
         end = self.n_rows if final else self.n_rows - 1
         while self.n_settled < end:
             sl = slice(self.n_settled, min(end, self.n_settled + FLOW_CHUNK))
@@ -432,86 +416,92 @@ class _Engine:
             if len(bad):
                 raise DivergenceError(f"simulation diverged at t = {float(t[bad[0]])!r}")
             self.row_dsq[sl] = dsq
-            if self.track_tilde:
-                self.row_tilde[sl] = self._tilde_column(t)
-            if self.lyapunov_P is not None:
-                # 1/2 sum over edges of z^T P z, z the relative states
-                Z = self.couple.T @ self.row_x[sl]
-                self.row_v[sl] = 0.5 * np.sum(Z * (Z @ self.lyapunov_P.T), axis=(1, 2))
-            stop = self._consensus_watch(t, dsq < self.consensus_tol)
             self.n_settled = sl.stop
-            if stop is not None:
-                self._cut(sl.start + stop)
-                return
-
-    def _tilde_column(self, t):
-        """delta_tilde_sq at row times t; the held disagreements change only
-        at deliveries, each to the sampled value minus kappa at sampling."""
-        n = bisect_right(self.deliveries, t[-1], key=itemgetter(0))
-        due, self.deliveries = self.deliveries[:n], self.deliveries[n:]
-        levels = [self.tilde_sq]
-        if due:
-            kappa = self.prop.exps([d[3] for d in due]) @ self.kappa0
-            for (_, ch, value, _), k in zip(due, kappa):
-                self.delta_tilde[ch] = value - k
-                levels.append(float((self.delta_tilde ** 2).sum()))
-            self.tilde_sq = levels[-1]
-        return np.take(levels, np.searchsorted([d[0] for d in due], t, side="right"))
+            if self.s.stop_at_consensus:
+                stop = self._consensus_watch(t, dsq < self.consensus_tol)
+                if stop is not None:
+                    self._cut(sl.start + stop)
+                    return
 
     def _consensus_watch(self, t, below):
-        """Consensus is reached at the first row of a run of rows below the
-        tolerance that lies at least 1 s after the run's first row; a row
-        above the tolerance clears it. Rows are in increasing time order.
-        Returns the index of the consensus row when the run stops there."""
+        """Index of the first of the rows t that lies at least 1 s after the
+        first row of its run of rows below the tolerance, or None. The start
+        of a run still open at the last row carries to the next call."""
         k = np.arange(len(t))
         run_start = np.maximum.accumulate(np.where(below, -1, k)) + 1
         t0 = t[np.minimum(run_start, len(t) - 1)]
         if self.below_since is not None:
             t0 = np.where(run_start == 0, self.below_since, t0)
-        hit = below & (t - t0 >= 1.0)
-        new = np.flatnonzero(hit & ~np.append(self.consensus_time is not None, hit[:-1]))
-        if self.s.stop_at_consensus and len(new):
-            self.consensus_time = float(t[new[0]])
-            return int(new[0])
+        hit = np.flatnonzero(below & (t - t0 >= 1.0))
+        if len(hit):
+            return int(hit[0])
         self.below_since = float(t0[-1]) if below[-1] else None
-        if not hit[-1]:
-            self.consensus_time = None
-        elif len(new) and new[-1] >= run_start[-1]:
-            self.consensus_time = float(t[new[-1]])
 
     def _cut(self, r):
-        """End the trace at row r: drop later rows and the changes after it."""
+        """End the trace at row r: drop later rows and the logs after it."""
         tc = self.row_t[r]
         self.n_rows = self.n_settled = r + 1
-        for log in (self.events, self.drive_changes):
+        for log in (self.events, self.drive_changes, self.deliveries):
             del log[bisect_right(log, tc, key=itemgetter(0)):]
         self.stopped = True
 
-    def raise_if_diverged(self):
-        """Raise DivergenceError if the state or a recorded row is not
-        finite; for failures inside an event loop, whose rows the
-        statistics pass checks only later."""
-        self.snapshot()
-        self.settle(final=True)
+    def _consensus_time(self, t, dsq):
+        """Consensus time of an uncut trace: the first row at least 1 s into
+        the run of rows below the tolerance that the trace ends in, or None.
+        t - t0 grows with t, so a bisection finds that row."""
+        start = 0
+        for sl in reversed(list(_chunks(len(t)))):
+            above = np.flatnonzero(dsq[sl] >= self.consensus_tol)
+            if len(above):
+                start = sl.start + int(above[-1]) + 1
+                break
+        k = bisect_left(t, 1.0, lo=start, key=lambda tk: tk - t[start])
+        return float(t[k]) if k < len(t) else None
+
+    def _tilde_column(self, t):
+        """delta_tilde_sq at row times t; the held disagreements change only
+        at deliveries, each to the sampled value minus kappa at sampling."""
+        tilde = self.s.x0.reshape(self.units, -1) - self.kappa0
+        levels = [float((tilde ** 2).sum())]
+        for sl in _chunks(len(self.deliveries)):
+            due = self.deliveries[sl]
+            kappa = self.prop.exps([d[3] for d in due]) @ self.kappa0
+            for (_, ch, value, _), k in zip(due, kappa):
+                tilde[ch] = value - k
+                levels.append(float((tilde ** 2).sum()))
+        return np.take(levels, np.searchsorted([d[0] for d in self.deliveries], t,
+                                               side="right"))
+
+    def _lyapunov_column(self, X):
+        """V = 1/2 sum over edges of z^T P z, z the relative states."""
+        P = self.s.lyapunov_P
+        return np.concatenate([0.5 * np.sum(Z * (Z @ P.T), axis=(1, 2)) for Z in
+                               (self.couple.T @ X[sl] for sl in _chunks(len(X)))])
 
     def finish(self) -> Trace:
         """The trace of the run. Both loops end at the grid instant on the
         horizon, unless stop_at_consensus cut them short."""
         self.settle(final=True)
         n = self.n_rows
-        return Trace(scenario=self.s, t=self.row_t[:n],
-                     states=self.row_x[:n].reshape(n, -1),
-                     delta_sq=self.row_dsq[:n],
-                     lyapunov=self.row_v[:n] if self.lyapunov_P is not None else None,
-                     delta_tilde_sq=self.row_tilde[:n] if self.track_tilde else None,
+        t, X, dsq = self.row_t[:n], self.row_x[:n], self.row_dsq[:n]
+        relative = self.s.mode == "relative_edges" and self.s.lyapunov_P is not None
+        return Trace(scenario=self.s, t=t, states=X.reshape(n, -1), delta_sq=dsq,
+                     lyapunov=self._lyapunov_column(X) if relative else None,
+                     delta_tilde_sq=self._tilde_column(t) if self.track_tilde else None,
                      events=self.events, drive_changes=self.drive_changes,
-                     consensus_time=self.consensus_time)
+                     consensus_time=(float(t[-1]) if self.stopped
+                                     else self._consensus_time(t, dsq)))
 
 
 def _build_schedules(s: Scenario) -> list[ChannelSchedule]:
     if s.schedules is not None:     # checked when the scenario was built
         return list(s.schedules)
     p = s.schedule
+    # Before any draw: each channel samples at least floor(horizon / h_max)
+    # times up to the horizon (one less allows for rounding), and each
+    # sample has its delivery.
+    samples = max(math.floor(s.horizon / p.h_max) - 1, 0)
+    _check_budget(s.snapshot_points + 1 + 2 * s.n_channels * samples, "at least ")
     scheds = [generate_schedule(p.h_min, p.h_max, p.tau_max, s.horizon,
                                 s.seed, ch) for ch in range(s.n_channels)]
     for sc in scheds:
@@ -519,9 +509,10 @@ def _build_schedules(s: Scenario) -> list[ChannelSchedule]:
     return scheds
 
 
-def _check_budget(events: int) -> None:
+def _check_budget(events: int, bound: str = "") -> None:
     if events > MAX_EVENTS:
-        raise RuntimeError(f"event budget exhausted: {events} events exceed {MAX_EVENTS}")
+        raise RuntimeError(f"event budget exhausted: {bound}{events} events "
+                           f"exceed {MAX_EVENTS}")
 
 
 def _timeline(s: Scenario, scheds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -531,15 +522,16 @@ def _timeline(s: Scenario, scheds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Sorting by (time, rank, channel, order) matches a priority queue that
     takes each delivery when its sample is taken: one due at its own sample
     instant takes the sample's rank, so it follows that sample."""
+    insts = [np.asarray(sc.sample_instants, dtype=float) for sc in scheds]
+    counts = [int(np.searchsorted(inst, s.horizon, side="right")) for inst in insts]
+    _check_budget(s.snapshot_points + 1 + 2 * sum(counts))   # before any column is built
     parts = [(np.linspace(0.0, s.horizon, s.snapshot_points + 1), RANK_GRID, -1, 0)]
-    for ch, sc in enumerate(scheds):
-        inst = np.asarray(sc.sample_instants, dtype=float)
-        inst = inst[: np.searchsorted(inst, s.horizon, side="right")]
-        due = inst + np.asarray(sc.delays, dtype=float)[: len(inst)] + s.input_delay
+    for ch, (sc, inst, n) in enumerate(zip(scheds, insts, counts)):
+        inst = inst[:n]
+        due = inst + np.asarray(sc.delays, dtype=float)[:n] + s.input_delay
         parts += [(inst, RANK_SAMPLE, ch, 0),
                   (due, np.where(due == inst, RANK_SAMPLE, RANK_DELIVER), ch, 1)]
     t = np.concatenate([p[0] for p in parts])
-    _check_budget(len(t))
     rank, ch, order = (np.concatenate(c) for c in zip(*[
         (np.broadcast_to(r, len(tp)), np.full(len(tp), c), 2 * np.arange(len(tp)) + d)
         for tp, r, c, d in parts]))
@@ -571,7 +563,9 @@ def run(s: Scenario) -> Trace:
         elif s.horizon > 0:
             _scheduled(eng, times, dts, chans, orders)
     except (OverflowError, ValueError):
-        eng.raise_if_diverged()
+        # a failure inside the loop: raise DivergenceError if a row is not finite
+        eng.snapshot()
+        eng.settle(final=True)
         raise
     return eng.finish()
 

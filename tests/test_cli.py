@@ -451,6 +451,11 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
     ("bound 4", _doc(3, bound_params={"delta_e": -0.5}), 2, "bound_params"),
     ("bound 4", _doc(3, bound_params={"tau": -0.02}), 2, "bound_params"),
     ("bound 4", _doc(3, bound_params={"h": -0.5}), 2, "bound_params"),
+    ("bound 4", _doc(3, bound_params={"alpha": -1}), 2, "bound_params"),
+    ("bound 4", _doc(3, bound_params={"gamma": 0}), 2, "bound_params"),
+    ("bound 4", _doc(3, bound_params={"eta": 0}), 2, "bound_params"),
+    ("bound 4", _doc(3, bound_params={"theta": 0.5}), 2, "bound_params"),
+    ("bound 4", _doc(3, bound_params={"theta": 1}), 2, "bound_params"),
     # explicit schedules violating Assumption 1 are bad input, not a failed run
     ("run", _without_schedule(_doc(2), schedules=[
         {"channel_id": ch, "sample_instants": [0.1, 0.1], "delays": [0.0, 0.0]}
@@ -475,7 +480,8 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
         "negative_delta_e", "h_min_above_h_max", "tau_max_above_h_min", "negative_h_min",
         "negative_snapshot_points", "zero_snapshot_points", "negative_consensus_tol",
         "zero_consensus_tol", "negative_bound_delta_e", "negative_bound_tau",
-        "negative_bound_h", "schedule_instants_not_increasing",
+        "negative_bound_h", "negative_bound_alpha", "zero_bound_gamma", "zero_bound_eta",
+        "bound_theta_below_1", "bound_theta_1", "schedule_instants_not_increasing",
         "schedule_delay_not_below_gap"])
 def test_exit_codes(tmp_path, capsys, command, doc, code, names):
     path, out_dir = tmp_path / "doc.json", tmp_path / "out"
@@ -529,13 +535,14 @@ def test_reproduce_examples_pass(capsys, ex_file, monkeypatch):
     for n in ("2", "3"):
         code, out = run_cli(capsys, "reproduce", "--example", n)
         assert code == 0
-        assert "FAIL" not in out
+        report = _strict_loads(out)       # the whole stdout is one JSON object
+        assert report["goldens"] and all(row["pass"] for row in report["goldens"])
 
 
 def test_reproduce_writes_its_outputs(tmp_path, capsys):
     code, out = run_cli(capsys, "reproduce", "--example", "2", "--out", str(tmp_path))
     assert code == 0
-    report = json.loads(out[out.index("{"):])
+    report = _strict_loads(out)
     assert json.loads((tmp_path / "example2_report.json").read_text()) == report
     with open(tmp_path / "example2.csv") as f:
         rows = list(csv.reader(f))

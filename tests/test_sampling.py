@@ -14,11 +14,16 @@ from asynclab.sampling import (DELAY_GUARD, ChannelSchedule, ErrorModel,
 
 
 def test_periodic_schedule():
-    s = generate_schedule(0.01, 0.01, 0.0, 1.0, seed=0, channel_id=0)
-    gaps = np.diff(s.sample_instants)
-    assert np.allclose(gaps, 0.01)
-    assert np.all(s.delays == 0.0)
-    validate_schedule(s, 0.01, 0.0)
+    # The running sum of the instants makes some gaps exceed h by half a unit
+    # in the last place of the later instant; past 1 s nearly every seed has one.
+    for h, horizon in [(0.01, 1.0), (0.001, 30.0), (0.002, 60.0), (0.025, 4000.0),
+                       (0.01, 600.0)]:
+        for seed in range(5):
+            s = generate_schedule(h, h, 0.0, horizon, seed=seed, channel_id=0)
+            gaps = np.diff(s.sample_instants)
+            assert np.allclose(gaps, h)
+            assert np.all(s.delays == 0.0)
+            validate_schedule(s, h, 0.0)
 
 
 def test_schedule_admissibility_random():

@@ -1,5 +1,8 @@
 import hashlib
+import math
+import tracemalloc
 import warnings
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -478,6 +481,115 @@ def test_divergence_raises_with_time():
         with pytest.raises(DivergenceError, match=r"at t = 5\.\d+") as info:
             run(s)
     assert isinstance(info.value, RuntimeError)
+
+
+def test_event_budget_checked_before_any_column(monkeypatch):
+    # A run over the budget is refused before its schedules are drawn or its
+    # timeline built: a refusal costs no memory in the size of the run.
+    monkeypatch.setattr(sim, "MAX_EVENTS", 1000)
+    inst = np.arange(1, 200_001) * 1e-4
+    explicit = replace(_example(2, 30.0), schedule=None, schedules=tuple(
+        ChannelSchedule(ch, inst, np.zeros_like(inst)) for ch in range(5)))
+    cases = {
+        "grid": _example(2, 30.0, snapshot_points=2_000_000),
+        "drawn": _example(2, 500.0, schedule={"h_min": 0.004, "h_max": 0.006,
+                                              "tau_max": 0.002}),
+        # floor(100 / 1.5) samples per channel fit, but ~133 are drawn
+        "counted": _example(2, 100.0, snapshot_points=10,
+                            schedule={"h_min": 0.004, "h_max": 1.5, "tau_max": 0.002}),
+        "explicit": explicit,
+    }
+    for name, s in cases.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="event budget"):
+                run(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, name
+
+
+def test_event_budget_admits_a_run_that_fits_exactly(monkeypatch):
+    # The budget counts the grid and each sample up to the horizon with its
+    # delivery; a budget of exactly that many passes both checks.
+    s = _example(2, 30.0, schedule={"h_min": 0.05, "h_max": 0.05, "tau_max": 0.01})
+    samples = sum(kind == "sample" for _, _, kind in run(s).events)
+    monkeypatch.setattr(sim, "MAX_EVENTS", s.snapshot_points + 1 + 2 * samples)
+    run(s)
+    monkeypatch.setattr(sim, "MAX_EVENTS", s.snapshot_points + 2 * samples)
+    with pytest.raises(RuntimeError, match="event budget"):
+        run(s)
+
+
+def _delta_tilde_reference(tr):
+    """delta_tilde_sq row by row from the trace alone: each agent holds the
+    disagreement of its last delivered broadcast, the state it sent minus
+    kappa at that time, and its initial disagreement before any arrives."""
+    s = tr.scenario
+    X = tr.states.reshape(len(tr.t), s.n_units, s.model.N)
+    row = {t: k for k, t in enumerate(tr.t.tolist())}
+    kappa0 = X[0].mean(axis=0)
+    sent = "update" if s.error_model.kind == "event_trigger" else "sample"
+    held, pending, levels = X[0] - kappa0, [deque() for _ in range(s.n_units)], []
+    events = deque(tr.events)
+    for tk in tr.t.tolist():
+        while events and events[0][0] <= tk:
+            t, ch, kind = events.popleft()
+            if kind == sent:
+                pending[ch].append(t)
+            elif kind == "deliver":
+                ts = pending[ch].popleft()
+                held[ch] = X[row[ts], ch] - sla.expm(s.model.A * ts) @ kappa0
+        levels.append(float((held ** 2).sum()))
+    return np.array(levels)
+
+
+@pytest.mark.parametrize("example, chunk", [(2, None), (3, 97)], ids=["ex2", "ex3"])
+def test_delta_tilde_column_matches_per_row_reference(monkeypatch, example, chunk):
+    # Both examples are integrators (A = 0), so kappa is kappa0 exactly and
+    # the reference must give the engine's bits. Example 3 hovers and stops
+    # early, so it runs in smaller chunks.
+    if chunk is not None:
+        monkeypatch.setattr(sim, "FLOW_CHUNK", chunk)
+    s = _example(example, 40.0)
+    full = run(s)
+    tol = 1e-16 if example == 2 else float(np.quantile(full.delta_sq, 0.2))
+    cut = run(replace(s, stop_at_consensus=True, consensus_tol=tol))
+    assert cut.consensus_time is not None and len(cut.t) > sim.FLOW_CHUNK
+    for tr in (full, cut):
+        assert np.array_equal(tr.delta_tilde_sq, _delta_tilde_reference(tr))
+    assert np.array_equal(cut.delta_tilde_sq, full.delta_tilde_sq[:len(cut.t)])
+
+
+def test_saturated_holds_match_per_delivery_reference():
+    # Each delivery holds the sampled state scaled into the saturation level,
+    # and the drive is recomputed from the held values.
+    s = replace(_equivalence_scenario("saturated"), horizon=10.0)
+    tr = run(s)
+    X = tr.states.reshape(len(tr.t), s.n_units, s.model.N)
+    row = {t: k for k, t in enumerate(tr.t.tolist())}
+
+    def saturated(v):
+        peak = np.abs(v).max()
+        return v.copy() if peak == 0 else (1.0 / math.ceil(peak / s.saturation)) * v
+
+    H = np.zeros((s.n_channels, s.model.N))
+    drives = [H.copy()]
+    for ch in range(s.n_channels):      # startup "first_sample"
+        H[ch] = saturated(X[0, ch])
+        drives.append(-(s.coupling @ (H @ s.gain.T)))
+    pending = [deque() for _ in range(s.n_channels)]
+    for t, ch, kind in tr.events:
+        if kind == "sample":
+            pending[ch].append(t)
+        else:
+            H[ch] = saturated(X[row[pending[ch].popleft()], ch])
+            drives.append(-(s.coupling @ (H @ s.gain.T)))
+    assert np.abs(H).max() <= s.saturation
+    assert len(drives) == len(tr.drive_changes)
+    for want, (_, got) in zip(drives, tr.drive_changes):
+        assert np.array_equal(got, want)
 
 
 def test_lyapunov_column_matches_per_row_formula():
