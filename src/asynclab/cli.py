@@ -350,6 +350,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         try:
+            if args.seed is not None:
+                scenarios.check_seed(args.seed, "--seed")
             code = args.func(args)
         except (InfeasibleError, SetMembershipError) as exc:
             _emit({"feasible": False, "error": str(exc)})

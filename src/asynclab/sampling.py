@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -201,11 +200,19 @@ def apply_additive_error(value, delta_e: float, rng: np.random.Generator,
     return value - error, error
 
 
-@lru_cache(maxsize=4096)
-def _level_power(level: float, e: int) -> float:
-    """level**e as numpy's power computes it; Python's pow can differ from
-    it in the last bit. Bounded: a run meets a few hundred exponents."""
-    return float((level ** np.array([float(e)]))[0])
+# level -> (log(level), {e: level**e}), both bounded: a full table drops
+# its oldest entry. A run meets one level and a few hundred exponents.
+_POWERS: dict = {}
+POWER_LEVELS = 8
+POWER_EXPONENTS = 4096
+
+
+def _put(table: dict, key, value, limit: int):
+    """table[key] = value, after dropping the oldest entry of a full table."""
+    if len(table) >= limit:
+        table.pop(next(iter(table)), None)
+    table[key] = value
+    return value
 
 
 def log_quantize(value, quant_level: float) -> np.ndarray:
@@ -215,11 +222,14 @@ def log_quantize(value, quant_level: float) -> np.ndarray:
     to themselves.
 
     The engine quantizes one small vector per sample, so each entry is
-    worked on as a Python float, without numpy's per-call overhead."""
+    worked on as a Python float, without numpy's per-call overhead. Each
+    power is numpy's level**e, which Python's pow can miss in the last
+    bit; the table _POWERS keeps them."""
     if not quant_level > 1.0:     # NaN too
         raise ValueError("quantizing level must exceed 1")
     value = np.asarray(value, dtype=float)
-    log_level = math.log(quant_level)
+    log_level, powers = (_POWERS.get(quant_level) or _put(
+        _POWERS, quant_level, (math.log(quant_level), {}), POWER_LEVELS))
     out = []
     for x in value.ravel().tolist():
         if x == 0.0 or not math.isfinite(x):
@@ -229,7 +239,11 @@ def log_quantize(value, quant_level: float) -> np.ndarray:
         e = round(logs)
         if abs(logs - e) >= 1e-9:
             e = math.floor(logs)
-        out.append(math.copysign(_level_power(quant_level, e), x))
+        p = powers.get(e)
+        if p is None:
+            p = _put(powers, e, float((quant_level ** np.array([float(e)]))[0]),
+                     POWER_EXPONENTS)
+        out.append(math.copysign(p, x))
     # the engine's samples are 1-D and skip the reshape's call overhead
     q = np.array(out, dtype=float)
     return q if q.shape == value.shape else q.reshape(value.shape)

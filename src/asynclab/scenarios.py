@@ -59,6 +59,15 @@ def _int(value) -> int:
     return value
 
 
+def check_seed(value, name="seed") -> int:
+    """A seed: an integer in [0, 2**64). The random streams are keyed on
+    64 bits, so seeds outside that range would repeat the runs of seeds
+    inside it."""
+    if not 0 <= _int(value) < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value!r}")
+    return value
+
+
 def _count(value) -> int:
     """A positive integer."""
     if _int(value) < 1:
@@ -182,9 +191,9 @@ def _bound_params(sec) -> dict:
 
 
 def _sweep(sec) -> list[int]:
-    """The seeds of a sweep: a non-empty list of distinct integers, since
+    """The seeds of a sweep: a non-empty list of distinct seeds, since
     each seed names its output files."""
-    seeds = [_int(sd) for sd in _keyed(sec, ("seeds",))["seeds"]]
+    seeds = [check_seed(sd) for sd in _keyed(sec, ("seeds",))["seeds"]]
     if not seeds:
         raise ValueError("seeds must not be empty")
     repeated = [sd for i, sd in enumerate(seeds) if sd in seeds[:i]]
@@ -203,7 +212,7 @@ _READERS = {
     "schedules": _schedules, "error_model": _error_model, "saturation": _number,
     "input_delay": _number, "lyapunov_P": _floats, "startup": str,
     "snapshot_points": _count, "stop_at_consensus": _flag, "consensus_tol": _positive,
-    "x0": _floats, "horizon": _number, "seed": _int,
+    "x0": _floats, "horizon": _number, "seed": check_seed,
     "query": partial(_record, BoundQuery, read=_number),
     "bound_params": _bound_params, "sweep": _sweep,
 }

@@ -112,6 +112,8 @@ class Scenario:
             raise ScenarioError("x0 must be finite")
         if not (self.horizon >= 0 and math.isfinite(self.horizon)):
             raise ScenarioError("horizon must be finite and nonnegative")
+        if not 0 <= self.seed < 2**64:      # the random streams key on 64 bits
+            raise ScenarioError("seed must lie in [0, 2**64)")
         if not self.input_delay >= 0:     # NaN too
             raise ScenarioError("input delay must be nonnegative")
         if self.saturation is not None:
@@ -295,8 +297,11 @@ class _Engine:
         else:
             self.couple = s.coupling                       # m x m
         self.KT = (s.model.B @ s.gain).T if self.consensus_mode else s.gain.T
+        # the endpoints (head, tail) of each edge, as unit indices
+        self.ends = ([(head - 1, tail - 1) for tail, head in s.graph.edges]
+                     if s.mode == "relative_edges" else None)
         self.H = np.zeros((self.channels, N))
-        self.H_live = np.zeros(self.channels, dtype=bool)
+        self.held = [None] * self.channels    # the bytes of each live hold
         self.drive = np.zeros((self.units, N))
         self.t = 0.0
         self.events = []
@@ -320,12 +325,10 @@ class _Engine:
         self.snapshot()     # the row at t = 0; holds set at t = 0 do not move it
 
     # -- state ------------------------------------------------------------
-    def advance(self, t_new, expA=None, phi=None):
-        """Move the state to t_new under the held drive (flow maps optional)."""
+    def advance(self, t_new):
+        """Move the state to t_new under the held drive."""
         if t_new != self.t:
-            if expA is None:
-                expA, phi = self.prop.pair(t_new - self.t)
-            self.X = self._step(expA, phi)
+            self.X = self._step(*self.prop.pair(t_new - self.t))
             self.t = t_new
 
     def state_at(self, t_query):
@@ -345,30 +348,36 @@ class _Engine:
 
     def read_channel(self, ch, X=None):
         X = self.X if X is None else X
-        if self.s.mode == "relative_edges":
-            tail, head = self.s.graph.edges[ch]
-            return X[head - 1] - X[tail - 1]
+        if self.ends is not None:
+            head, tail = self.ends[ch]
+            return X[head] - X[tail]
         return X[ch]
 
     def set_hold(self, ch, value):
         """Hold value, saturated when the scenario saturates, on channel ch
-        and recompute the drive."""
+        and return the drive. The drive is recomputed unless the channel
+        already holds these bytes (-0.0 is not +0.0), in which case the
+        drive is unchanged and its array is logged again."""
         if self.s.saturation is not None:
             _, value = saturation_scale(value, self.s.saturation)
-        self.H[ch] = value
-        self.H_live[ch] = True
-        couple = self.couple
-        if self.s.mode == "broadcast" and not np.all(self.H_live):
-            # Before an agent's first broadcast arrives, the pairwise
-            # controller terms involving it are absent (not zero-valued):
-            # restrict the Laplacian to edges with both holds live.
-            couple = self._masked_laplacian()
-        self.drive = -(couple.dot(self.H.dot(self.KT)))
+        key = value.tobytes()
+        if key != self.held[ch]:
+            self.held[ch] = key
+            self.H[ch] = value
+            couple = self.couple
+            if self.s.mode == "broadcast" and None in self.held:
+                # Before an agent's first broadcast arrives, the pairwise
+                # controller terms involving it are absent (not zero-valued):
+                # restrict the Laplacian to edges with both holds live.
+                couple = self._masked_laplacian()
+            self.drive = -(couple.dot(self.H.dot(self.KT)))
         self.drive_changes.append((self.t, self.drive))
+        return self.drive
 
     def _masked_laplacian(self):
         inc = self.algebra.incidence
-        live = np.abs(inc).T @ ~self.H_live == 0     # no endpoint without a hold
+        dead = np.array([key is None for key in self.held])
+        live = np.abs(inc).T @ dead == 0     # no endpoint without a hold
         return (inc * live) @ inc.T
 
     # -- measurement ------------------------------------------------------
@@ -574,17 +583,20 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
     """One pass over the timeline. In triggered broadcasts each agent
     samples on its own admissible schedule and broadcasts, with delay, only
     when the (optionally capped) trigger condition holds at the sampling
-    instant; a delivery whose sample did not fire is skipped."""
+    instant; a delivery whose sample did not fire is skipped.
+
+    The state, drive, clock and row cursor live in locals; they are written
+    back to the engine before each settle and when the loop fails. The
+    state changes only at a step, so each row is written once, by the
+    first event at its time that is not a skipped delivery."""
     em = eng.s.error_model
     triggered = em.kind == "event_trigger"
     queue = [deque() for _ in range(eng.channels)]   # (k, measured, sampled, time)
     last_sent = [None] * eng.channels
 
     def fire(ch, value):
-        """Whether a sample is sent on: always, except that a triggered
-        broadcast waits until the value has moved far enough from the last."""
-        if not triggered:
-            return True
+        """Whether a triggered broadcast is sent on: once the value has
+        moved far enough from the last one sent."""
         if last_sent[ch] is not None and not event_trigger_check(
                 value, last_sent[ch], em.omega, cap=em.cap):
             return False
@@ -594,32 +606,58 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
     if eng.s.startup == "first_sample":
         for ch in range(eng.channels):
             eng.set_hold(ch, eng.read_channel(ch))
-    for sl in _chunks(len(times)):
-        expA, phi = eng.prop.pairs(dts[sl])
-        for j, (te, ch, order) in enumerate(zip(times[sl].tolist(), chans[sl].tolist(),
-                                                orders[sl].tolist())):
-            if te != eng.t:
-                eng.advance(te, expA[j], phi[j])
-            if ch >= 0 and order & 1:
-                q = queue[ch]
-                if not q or q[0][0] != order >> 1:
-                    continue        # its sample did not fire
-                _, value, sampled, t_sampled = q.popleft()
-                eng.set_hold(ch, value)
-                if eng.track_tilde:
-                    eng.deliveries.append((te, ch, sampled, t_sampled))
-                eng.events.append((te, ch, "deliver"))
-            elif ch >= 0:
-                value = eng.read_channel(ch)
-                if fire(ch, value):
-                    queue[ch].append((order >> 1, eng.measure(ch, value), value, te))
-                    if triggered:
-                        eng.events.append((te, ch, "update"))
-                eng.events.append((te, ch, "sample"))
-            eng.snapshot()
-        eng.settle()
-        if eng.stopped:
-            break
+    ends, measure, set_hold = eng.ends, eng.measure, eng.set_hold
+    events = eng.events
+    deliveries = eng.deliveries if eng.track_tilde else None
+    row_t, row_x = eng.row_t, eng.row_x      # sized for every row of the run
+    X, t, drive, r = eng.X, eng.t, eng.drive, eng.n_rows - 1
+    t_row = t       # the time of row r, the last one
+    try:
+        for sl in _chunks(len(times)):
+            # Transposed flow maps, contiguous so that dot need not copy
+            # them. A single unit keeps the views: its one-row products
+            # take another BLAS path on a contiguous map, which can differ
+            # in the last bit.
+            eT, pT = (m.transpose(0, 2, 1) for m in eng.prop.pairs(dts[sl]))
+            if eng.units > 1:
+                eT, pT = np.ascontiguousarray(eT), np.ascontiguousarray(pT)
+            for te, ch, order, E, P in zip(times[sl].tolist(), chans[sl].tolist(),
+                                           orders[sl].tolist(), eT, pT):
+                if te != t:
+                    X = X.dot(E) + drive.dot(P)
+                    t = te
+                if ch >= 0 and order & 1:
+                    q = queue[ch]
+                    if not q or q[0][0] != order >> 1:
+                        continue        # its sample did not fire: no row
+                    _, value, sampled, t_sampled = q.popleft()
+                    eng.t = te          # the time set_hold logs the drive at
+                    drive = set_hold(ch, value)
+                    if deliveries is not None:
+                        deliveries.append((te, ch, sampled, t_sampled))
+                    events.append((te, ch, "deliver"))
+                elif ch >= 0:
+                    if ends is None:
+                        value = X[ch]
+                    else:
+                        head, tail = ends[ch]
+                        value = X[head] - X[tail]
+                    if not triggered or fire(ch, value):
+                        queue[ch].append((order >> 1, measure(ch, value), value, te))
+                        if triggered:
+                            events.append((te, ch, "update"))
+                    events.append((te, ch, "sample"))
+                if te != t_row:
+                    r += 1
+                    row_t[r] = t_row = te
+                    row_x[r] = X
+            eng.X, eng.t, eng.n_rows = X, t, r + 1
+            eng.settle()
+            if eng.stopped:
+                break
+    except (OverflowError, ValueError):
+        eng.X, eng.t, eng.n_rows = X, t, r + 1     # for run's divergence check
+        raise
 
 
 def _monitored(eng: _Engine) -> None:

@@ -463,6 +463,14 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
     ("run", _without_schedule(_doc(2), schedules=[
         {"channel_id": ch, "sample_instants": [0.1, 0.2], "delays": [0.15, 0.0]}
         for ch in range(5)]), 2, "schedules"),
+    # seeds that differ by a multiple of 2**64 would give the same run
+    ("run", _doc(2, seed=-1), 2, "seed"),
+    ("run", _doc(2, seed=2**64), 2, "seed"),
+    ("run", _doc(2, sweep={"seeds": [5, 5 + 2**64]}), 2, "sweep"),
+    ("run", _doc(2, sweep={"seeds": [-1, 2**64 - 1]}), 2, "sweep"),
+    ("run --seed=-1", _doc(2), 2, "--seed"),
+    ("run --seed=18446744073709551616", _doc(2), 2, "--seed"),
+    ("reproduce --seed=-1", None, 2, "--seed"),
 ], ids=["negative_design_lambda", "schedule_without_delays", "schedule_and_schedules",
         "seed_not_an_integer", "cycle_size_not_an_integer", "error_model_not_an_object",
         "repeated_sweep_seed",
@@ -482,7 +490,9 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
         "zero_consensus_tol", "negative_bound_delta_e", "negative_bound_tau",
         "negative_bound_h", "negative_bound_alpha", "zero_bound_gamma", "zero_bound_eta",
         "bound_theta_below_1", "bound_theta_1", "schedule_instants_not_increasing",
-        "schedule_delay_not_below_gap"])
+        "schedule_delay_not_below_gap", "negative_seed", "seed_of_2_to_the_64",
+        "sweep_seed_past_64_bits", "negative_sweep_seed", "negative_seed_flag",
+        "seed_flag_of_2_to_the_64", "negative_reproduce_seed_flag"])
 def test_exit_codes(tmp_path, capsys, command, doc, code, names):
     path, out_dir = tmp_path / "doc.json", tmp_path / "out"
     path.write_text(json.dumps(doc))
@@ -496,10 +506,11 @@ def test_exit_codes(tmp_path, capsys, command, doc, code, names):
         argv = ["design", str(path)]
     else:
         argv = ["bound", str(path), "--theorem", command.split()[1]]
-    got, out = run_cli(capsys, *argv)
+    flags = [word for word in command.split() if word.startswith("--")]
+    got, out = run_cli(capsys, *flags, *argv)
     assert got == code
     assert names in _strict_loads(out)["error"]
-    if command == "run":
+    if command.split()[0] in ("run", "reproduce") and "into a file" not in command:
         assert not out_dir.exists()
 
 

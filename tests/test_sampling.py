@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from asynclab import sampling
 from asynclab.sampling import (DELAY_GUARD, ChannelSchedule, ErrorModel,
                                ScheduleError,
                                apply_additive_error,
@@ -83,9 +84,14 @@ def test_log_quantize_matches_masked_reference():
     # Bit for bit, on vectors of the lengths the engine passes (1-3):
     # random magnitudes, zeros, exact powers of the level with their
     # neighbours one ulp away (where the snap rule and the power decide),
-    # and magnitudes near 1e-300 and 1e300.
+    # and magnitudes near 1e-300 and 1e300. The levels, taken twice over,
+    # outnumber the quantizer's table of powers, and level 1.0001 meets
+    # more exponents than the table keeps per level, so the answers must
+    # hold across evictions.
+    levels = (1.1, 2.0, 1.0001, 1.5, 3.0, 10.0, 1.01, 1.003, 1.3, 7.0)
+    assert len(levels) > sampling.POWER_LEVELS
     rng = np.random.default_rng(5)
-    for level in (1.1, 2.0, 1.0001):
+    for level in levels + levels:
         x = rng.standard_normal(4000) * 10.0 ** rng.uniform(-8, 8, 4000)
         x[::7] = 0.0
         x[1::11] = level ** rng.integers(-20, 20, len(x[1::11]))
@@ -96,6 +102,9 @@ def test_log_quantize_matches_masked_reference():
                             np.nextafter(powers, np.inf), -powers,
                             extremes * rng.choice([-1.0, 1.0], len(extremes))])
         expected = _masked_quantize(x, level)
+        if level == 1.0001:
+            exps = np.log(np.abs(expected[expected != 0.0])) / np.log(level)
+            assert len(np.unique(np.round(exps))) > sampling.POWER_EXPONENTS
         cuts = np.cumsum(np.resize([1, 2, 3], len(x)))
         cuts = cuts[cuts < len(x)]
         for chunk, want in zip(np.split(x, cuts), np.split(expected, cuts)):
