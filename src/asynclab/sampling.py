@@ -200,36 +200,21 @@ def apply_additive_error(value, delta_e: float, rng: np.random.Generator,
     return value - error, error
 
 
-# level -> (log(level), {e: level**e}), both bounded: a full table drops
-# its oldest entry. A run meets one level and a few hundred exponents.
-_POWERS: dict = {}
-POWER_LEVELS = 8
-POWER_EXPONENTS = 4096
-
-
-def _put(table: dict, key, value, limit: int):
-    """table[key] = value, after dropping the oldest entry of a full table."""
-    if len(table) >= limit:
-        table.pop(next(iter(table)), None)
-    table[key] = value
-    return value
-
-
 def log_quantize(value, quant_level: float) -> np.ndarray:
     """Entrywise logarithmic quantizer: 0 maps to 0, otherwise
     sign(x) * level^floor(log_level |x|); exact powers of the level quantize
     to themselves (half-ulp snap on the exponent). Infinities and NaN map
-    to themselves.
+    to themselves, and a finite entry quantizes to a finite value: where
+    the snapped-up power overflows, the next power down is taken.
 
     The engine quantizes one small vector per sample, so each entry is
-    worked on as a Python float, without numpy's per-call overhead. Each
-    power is numpy's level**e, which Python's pow can miss in the last
-    bit; the table _POWERS keeps them."""
+    worked on as a Python float, without numpy's per-call overhead; the
+    power is Python's level ** e."""
     if not quant_level > 1.0:     # NaN too
         raise ValueError("quantizing level must exceed 1")
     value = np.asarray(value, dtype=float)
-    log_level, powers = (_POWERS.get(quant_level) or _put(
-        _POWERS, quant_level, (math.log(quant_level), {}), POWER_LEVELS))
+    level = float(quant_level)     # a numpy scalar's ** would not raise on overflow
+    log_level = math.log(level)
     out = []
     for x in value.ravel().tolist():
         if x == 0.0 or not math.isfinite(x):
@@ -239,10 +224,10 @@ def log_quantize(value, quant_level: float) -> np.ndarray:
         e = round(logs)
         if abs(logs - e) >= 1e-9:
             e = math.floor(logs)
-        p = powers.get(e)
-        if p is None:
-            p = _put(powers, e, float((quant_level ** np.array([float(e)]))[0]),
-                     POWER_EXPONENTS)
+        try:
+            p = level ** e
+        except OverflowError:     # snapped up past the largest float
+            p = level ** (e - 1)
         out.append(math.copysign(p, x))
     # the engine's samples are 1-D and skip the reshape's call overhead
     q = np.array(out, dtype=float)

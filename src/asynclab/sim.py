@@ -116,6 +116,11 @@ class Scenario:
             raise ScenarioError("seed must lie in [0, 2**64)")
         if not self.input_delay >= 0:     # NaN too
             raise ScenarioError("input delay must be nonnegative")
+        points = self.snapshot_points
+        if not isinstance(points, (int, np.integer)) or isinstance(points, bool) or points < 1:
+            raise ScenarioError("snapshot_points must be an integer of at least 1")
+        if self.consensus_tol is not None and not self.consensus_tol > 0:
+            raise ScenarioError("consensus_tol must be positive")
         if self.saturation is not None:
             if not 0 < self.saturation < math.inf:
                 raise ScenarioError("saturation must be finite and positive")
@@ -341,9 +346,7 @@ class _Engine:
     def _step(self, expA, phi):
         """The state after one flow step, X e^{A dt}^T + drive Phi(dt)^T.
         ndarray.dot reaches the same BLAS products as @ with less call
-        overhead. The two agree bit for bit, except with a single unit and
-        an A with non-real eigenvalues: on those strided modal maps @ falls
-        back to a plain loop."""
+        overhead."""
         return self.X.dot(expA.T) + self.drive.dot(phi.T)
 
     def read_channel(self, ch, X=None):
@@ -614,13 +617,9 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
     t_row = t       # the time of row r, the last one
     try:
         for sl in _chunks(len(times)):
-            # Transposed flow maps, contiguous so that dot need not copy
-            # them. A single unit keeps the views: its one-row products
-            # take another BLAS path on a contiguous map, which can differ
-            # in the last bit.
-            eT, pT = (m.transpose(0, 2, 1) for m in eng.prop.pairs(dts[sl]))
-            if eng.units > 1:
-                eT, pT = np.ascontiguousarray(eT), np.ascontiguousarray(pT)
+            # transposed flow maps, contiguous so that dot need not copy them
+            eT, pT = (np.ascontiguousarray(m.transpose(0, 2, 1))
+                      for m in eng.prop.pairs(dts[sl]))
             for te, ch, order, E, P in zip(times[sl].tolist(), chans[sl].tolist(),
                                            orders[sl].tolist(), eT, pT):
                 if te != t:

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from asynclab import sampling
 from asynclab.sampling import (DELAY_GUARD, ChannelSchedule, ErrorModel,
                                ScheduleError,
                                apply_additive_error,
@@ -70,13 +69,13 @@ def test_block_drawn_schedule_matches_one_at_a_time_reference(params):
 
 def _masked_quantize(x, level):
     """Reference: the quantizer as whole-array numpy over the nonzero
-    entries, with the power from numpy's level**exps."""
+    entries, with each power from Python's level ** e."""
     nz = x != 0.0
     logs = np.log(np.abs(x[nz])) / np.log(level)
     snapped = np.round(logs)
     exps = np.where(np.abs(logs - snapped) < 1e-9, snapped, np.floor(logs))
     expected = np.zeros_like(x)
-    expected[nz] = np.sign(x[nz]) * level**exps
+    expected[nz] = np.sign(x[nz]) * np.array([level ** int(e) for e in exps])
     return expected
 
 
@@ -84,14 +83,9 @@ def test_log_quantize_matches_masked_reference():
     # Bit for bit, on vectors of the lengths the engine passes (1-3):
     # random magnitudes, zeros, exact powers of the level with their
     # neighbours one ulp away (where the snap rule and the power decide),
-    # and magnitudes near 1e-300 and 1e300. The levels, taken twice over,
-    # outnumber the quantizer's table of powers, and level 1.0001 meets
-    # more exponents than the table keeps per level, so the answers must
-    # hold across evictions.
-    levels = (1.1, 2.0, 1.0001, 1.5, 3.0, 10.0, 1.01, 1.003, 1.3, 7.0)
-    assert len(levels) > sampling.POWER_LEVELS
+    # and magnitudes near 1e-300 and 1e300.
     rng = np.random.default_rng(5)
-    for level in levels + levels:
+    for level in (1.1, 2.0, 1.0001, 1.5, 3.0, 10.0, 1.01, 1.003, 1.3, 7.0):
         x = rng.standard_normal(4000) * 10.0 ** rng.uniform(-8, 8, 4000)
         x[::7] = 0.0
         x[1::11] = level ** rng.integers(-20, 20, len(x[1::11]))
@@ -102,13 +96,26 @@ def test_log_quantize_matches_masked_reference():
                             np.nextafter(powers, np.inf), -powers,
                             extremes * rng.choice([-1.0, 1.0], len(extremes))])
         expected = _masked_quantize(x, level)
-        if level == 1.0001:
-            exps = np.log(np.abs(expected[expected != 0.0])) / np.log(level)
-            assert len(np.unique(np.round(exps))) > sampling.POWER_EXPONENTS
         cuts = np.cumsum(np.resize([1, 2, 3], len(x)))
         cuts = cuts[cuts < len(x)]
         for chunk, want in zip(np.split(x, cuts), np.split(expected, cuts)):
             assert log_quantize(chunk, level).tobytes() == want.tobytes()
+
+
+def test_log_quantize_keeps_the_top_of_the_float_range_finite():
+    # log2 of the largest float rounds to exactly 1024, so the snap rule
+    # picks 2**1024, which overflows; the next power down is taken instead,
+    # without a warning
+    top = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for level in (2.0, np.float64(2.0)):
+            q = log_quantize([top, -top, np.nextafter(top, 0.0)], level)
+            assert q.tolist() == [2.0**1023, -2.0**1023, 2.0**1023]
+        for level in (1.0001, 1.1, 3.0, 10.0):
+            # the largest power of the level that is a float
+            p = float(log_quantize([top], level)[0])
+            assert 0.0 < p <= top and p * level == math.inf
 
 
 def test_log_quantize_edge_inputs():

@@ -1,9 +1,15 @@
 import hashlib
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +18,7 @@ from scipy.integrate import solve_ivp
 
 from asynclab import sim
 from asynclab.graphs import build_algebra, cycle_graph, path_graph
-from asynclab.matan import LtiModel
+from asynclab.matan import LtiModel, expm, expm_integral
 from asynclab.sampling import ChannelSchedule, ErrorModel, channel_rng
 from asynclab.scenarios import builtin_example, parse_scenario
 from asynclab.sim import (DivergenceError, Scenario, ScenarioError,
@@ -111,6 +117,59 @@ def test_determinism_bit_identical():
     assert a.events == b.events
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.t, b.t)
+
+
+def _example_digests(horizon):
+    """SHA-256 of every trace column, drive and event of examples 1-3
+    (seed 5) over the horizon, keyed by example number."""
+    out = {}
+    for number in (1, 2, 3):
+        doc, _ = builtin_example(number, seed=5)
+        doc["horizon"] = horizon
+        tr = run(parse_scenario(doc))
+        h = hashlib.sha256(repr(tr.events).encode())
+        for column in (tr.t, tr.states, tr.delta_sq, tr.lyapunov, tr.delta_tilde_sq):
+            if column is not None:
+                h.update(column.tobytes())
+        for _, drive in tr.drive_changes:
+            h.update(drive.tobytes())
+        out[str(number)] = h.hexdigest()
+    return out
+
+
+# numpy's SIMD dispatch cut down to SSE4.2, as on an x86-64 CPU without
+# AVX2 or AVX-512; the setting acts on the child process only
+NO_AVX_FEATURES = "SSE SSE2 SSE3 SSSE3 SSE41 POPCNT SSE42"
+_DISPATCH_CHILD = """
+import json
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:     # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from test_sim import _example_digests
+print(json.dumps({"dispatch": [f for f in __cpu_dispatch__ if __cpu_features__[f]],
+                  "digests": _example_digests(4.0)}))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the dispatch features named are x86-64 ones")
+def test_traces_do_not_depend_on_numpy_simd_dispatch():
+    # The examples' traces must not depend on which SIMD kernels numpy
+    # picks: a child limited to SSE4.2 gives the bytes of this process.
+    here = Path(__file__).resolve().parent
+    paths = [str(Path(sim.__file__).resolve().parents[1]), str(here),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=NO_AVX_FEATURES,
+               PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD], env=env, cwd=here,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    child = json.loads(done.stdout.splitlines()[-1])
+    # the limit took hold: no AVX2, FMA or AVX-512 kernel is dispatched
+    assert not [f for f in child["dispatch"]
+                if f.startswith(("AVX", "FMA", "F16C", "X86_V3", "X86_V4"))]
+    assert child["digests"] == _example_digests(4.0)
 
 
 def test_average_state_invariance_relative_mode():
@@ -308,6 +367,15 @@ def test_scenario_validation_errors():
                 {"x0": [0.0], "horizon": np.nan}):
         with pytest.raises(ScenarioError):
             Scenario(**abstract, **bad)
+    # the grid has an integer count of intervals, at least 1, and the
+    # consensus tolerance is positive
+    for bad in ({"snapshot_points": 0}, {"snapshot_points": -1}, {"snapshot_points": 2.5},
+                {"snapshot_points": True}, {"consensus_tol": 0.0},
+                {"consensus_tol": -1e-3}, {"consensus_tol": np.nan}):
+        with pytest.raises(ScenarioError):
+            Scenario(**abstract, x0=[0.0], horizon=1.0, **bad)
+    assert len(run(Scenario(**abstract, x0=[1.0], horizon=1.0,
+                            snapshot_points=np.int64(1))).t) >= 2
     # saturation: finite and positive, on scheduled abstract_coupled runs only
     for level in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ScenarioError):
@@ -437,11 +505,12 @@ def test_flow_step_dot_matches_matmul():
     # The engine's flow step and drive use ndarray.dot, which reaches the
     # same BLAS products as @ with less call overhead: bit for bit on
     # contiguous operands and on the engine's own flow-map stacks (modal
-    # .real views, expm slices). A single unit is left out for the stacks:
-    # there @ falls back to a plain dot on the strided modal maps, and dot
-    # does not. With two or more units the scheduled loop steps with
-    # contiguous copies of the transposed stacks, which must give the bits
-    # of the transposed views.
+    # .real views, expm slices). The scheduled loop steps with contiguous
+    # copies of the transposed stacks; with two or more units they give
+    # the bits of the transposed views. A single unit is left out for the
+    # stacks: its one-row products may take another BLAS path on either
+    # layout and differ in the last bit, and criterion 7 holds those runs
+    # to the ODE oracle instead.
     rng = np.random.default_rng(23)
     for _ in range(3000):
         units, N, channels = (int(rng.integers(1, k)) for k in (7, 4, 9))
@@ -461,27 +530,6 @@ def test_flow_step_dot_matches_matmul():
         H = rng.standard_normal((channels, N))
         KT = rng.standard_normal((N, N)).T
         assert C.dot(H.dot(KT)).tobytes() == (C @ (H @ KT)).tobytes()
-
-
-# SHA-256 (first 16 hex digits) of the t, states and delta_sq columns and
-# of every drive of single-unit runs of random_scenario, as the engine
-# gave them when every step took the transposed views of the flow-map
-# stacks. Seed 35 has real eigenvalues, where a contiguous copy of its
-# modal maps changes the last bits; seed 49 has non-real ones.
-SINGLE_UNIT = {35: "913e206d79326208", 49: "690aaf17b0d592f1"}
-
-
-@pytest.mark.parametrize("seed", sorted(SINGLE_UNIT))
-def test_single_unit_trace_digest(seed):
-    s = random_scenario(np.random.default_rng(seed))
-    assert s.n_units == 1 and sim.Propagator(s.model.A)._diag
-    tr = run(s)
-    h = hashlib.sha256()
-    for column in (tr.t, tr.states, tr.delta_sq):
-        h.update(column.tobytes())
-    for _, drive in tr.drive_changes:
-        h.update(drive.tobytes())
-    assert h.hexdigest()[:16] == SINGLE_UNIT[seed]
 
 
 def test_stop_at_consensus_ends_at_the_consensus_row():
@@ -612,7 +660,7 @@ def _drive_reference(tr):
             logs = np.log(np.abs(v[nz])) / np.log(level)
             snapped = np.round(logs)
             exps = np.where(np.abs(logs - snapped) < 1e-9, snapped, np.floor(logs))
-            v[nz] = np.sign(v[nz]) * level**exps
+            v[nz] = np.sign(v[nz]) * np.array([level ** int(e) for e in exps])
         if s.saturation is not None:
             peak = np.abs(v).max()
             v = v.copy() if peak == 0 else (1.0 / math.ceil(peak / s.saturation)) * v
@@ -741,20 +789,24 @@ def test_exps_are_the_exponentials_of_pairs(A):
     assert np.array_equal(prop.exps(ts), prop.pairs(ts)[0])
 
 
-def test_modal_product_equals_the_stacked_one():
-    # _modal multiplies the whole stack by the shared V^-1 at once; it must
-    # give the bits of one small product per matrix, layout included.
-    rng = np.random.default_rng(41)
-    for k in range(200):
-        n = int(rng.integers(1, 6))
-        A = rng.standard_normal((n, n))
-        prop = sim.Propagator(A - A.T if k % 2 else A)
-        if not prop._diag:
-            continue
-        f = np.exp(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 3000)), 1)) * prop.w)
-        got = prop._modal(f)
-        want = ((prop.V * f[:, None, :]) @ prop.Vi).real
-        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+@pytest.mark.parametrize("A, modal", [
+    ([[0.0, 1.0], [-1.0, 0.0]], True), ([[0.0]], True), ([[0.0, 0.0], [0.0, 0.0]], True),
+    ([[-0.3, 2.0], [0.0, 0.1]], True), ([[0.5, -1.0, 0.2], [0.3, -0.7, 1.1], [0.0, 0.4, 0.1]], True),
+    ([[0.0, 1.0], [0.0, 0.0]], False), ([[-0.5, 1.0], [0.0, -0.5]], False),
+    ([[0.2, 1.0, 0.0], [0.0, 0.2, 1.0], [0.0, 0.0, 0.2]], False)],
+    ids=["oscillator", "integrator", "zero", "diagonalizable", "dense",
+         "defective", "defective_stable", "jordan3"])
+def test_pairs_match_expm_and_its_integral(A, modal):
+    # The flow maps, from either branch (modal or block exponential),
+    # against matan's scaling-and-squaring e^{A dt} and its Van Loan
+    # integral, to a tolerance.
+    prop = sim.Propagator(A)
+    assert prop._diag is modal
+    dts = np.array([0.0, 1e-12, 5e-9, 1e-4, 0.013, 0.25, 1.0, 3.7])
+    E, P = prop.pairs(dts)
+    for dt, e, p in zip(dts.tolist(), E, P):
+        for got, want in ((e, expm(A, dt)), (p, expm_integral(A, dt))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
 
 
 def _consensus_reference(t, delta_sq, tol):
