@@ -172,11 +172,18 @@ def _budget_warning(doc, s):
         report = _bound(doc, theorem, s)
     except (InfeasibleError, ValueError):
         return None
-    if not report["feasible"]:
+    budget = report["budget"] if report["feasible"] else None
+    if theorem == "3":
+        # Theorem 3 certifies unit gain. x' = -k L x_hat is the unit-gain
+        # system in time k t, so gain k = BK > 0 divides the budget by k;
+        # no lag is certified for k <= 0.
+        k = float((s.model.B @ s.gain)[0, 0])
+        budget = budget / k if k > 0 else None
+    if budget is None:
         return "budget exceeded: no lag is certified for this configuration"
-    if lag > report["budget"]:
+    if lag > budget:
         return (f"budget exceeded: total lag {lag:.6g} is above the certified "
-                f"budget {report['budget']:.6g}")
+                f"budget {budget:.6g}")
     return None
 
 

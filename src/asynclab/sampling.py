@@ -73,9 +73,10 @@ def generate_schedule(h_min: float, h_max: float, tau_max: float,
 
 
 def validate_schedule(sched: ChannelSchedule, h: float, tau: float) -> None:
-    """Independent admissibility checker: gaps at most h, each delay strictly
-    below the following gap and at most tau, delivery instants strictly
-    increasing. Raises ScheduleError on the first violation.
+    """Independent admissibility checker: instants from t = 0 on, gaps at
+    most h, each delay strictly below the following gap and at most tau,
+    delivery instants strictly increasing. Raises ScheduleError on the first
+    violation.
 
     A gap may exceed h by half a unit in the last place of its later instant:
     instants that are running sums of gaps round by that much."""
@@ -85,6 +86,8 @@ def validate_schedule(sched: ChannelSchedule, h: float, tau: float) -> None:
         raise ScheduleError("sample_instants and delays must align")
     if len(t) == 0:
         return
+    if not t[0] >= 0:
+        raise ScheduleError("sample instants must not lie before t = 0")
     gaps = np.diff(t)
     if np.any(gaps <= 0):
         raise ScheduleError("sample instants must be strictly increasing")

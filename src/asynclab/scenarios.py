@@ -260,8 +260,9 @@ def read(doc, key, required=False, shape=None):
 def parse_scenario(doc) -> Scenario:
     """The scenario a document describes. Each Scenario field is read from
     the section of its name, except that a design section gives the gain
-    and lyapunov_P. An error raised because the sections do not fit
-    together keeps the scenario's message, chained to the original."""
+    and lyapunov_P, so it excludes both sections. An error raised because
+    the sections do not fit together keeps the scenario's message, chained
+    to the original."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
     values = {f.name: read(doc, f.name, required=f.name in _REQUIRED)
@@ -270,6 +271,9 @@ def parse_scenario(doc) -> Scenario:
     design = read(doc, "design")
     if ("gain" in values) == (design is not None):
         raise ScenarioFormatError("exactly one of 'gain' and 'design' is required")
+    if design is not None and "lyapunov_P" in values:
+        raise ScenarioFormatError("a design section gives lyapunov_P; "
+                                  "'lyapunov_P' and 'design' exclude each other")
     if design is not None:
         with _naming("design"):
             solved = riccati_design(values["model"], *design)

@@ -148,6 +148,11 @@ class Scenario:
                 raise ScenarioError(f"gain must be {N}x{N} in {self.mode} mode")
             if self.x0.size != G.shape[0] * N:
                 raise ScenarioError("x0 length must be m * N")
+        if self.lyapunov_P is not None:
+            P = np.asarray(self.lyapunov_P, dtype=float)
+            if P.shape != (N, N):
+                raise ScenarioError(f"lyapunov_P must be {N}x{N}")
+            object.__setattr__(self, "lyapunov_P", P)
         em = self.error_model
         if em.kind == "event_trigger":
             if self.mode == "relative_edges":
@@ -165,11 +170,18 @@ class Scenario:
         if self.schedules is not None and len(self.schedules) != self.n_channels:
             raise ScenarioError(f"expected {self.n_channels} schedules, "
                                 f"got {len(self.schedules)}")
-        for sc in self.schedules or ():
+        for ch, sc in enumerate(self.schedules or ()):
+            if sc.channel_id != ch:
+                raise ScenarioError(f"schedules entry {ch} has channel_id {sc.channel_id}; "
+                                    "each entry's channel_id must be its position")
             try:    # structural admissibility only; no (h, tau) caps are declared
                 validate_schedule(sc, math.inf, math.inf)
             except ScheduleError as exc:
-                raise ScenarioError(f"schedules of channel {sc.channel_id}: {exc}") from exc
+                raise ScenarioError(f"schedules of channel {ch}: {exc}") from exc
+            if (em.kind == "event_trigger" and self.mode == "broadcast"
+                    and np.any(em.dwell > np.diff(sc.sample_instants) + 1e-12)):
+                raise ScenarioError(f"schedules of channel {ch}: dwell time must not "
+                                    "exceed a sampling gap")
 
     @property
     def monitored(self) -> bool:
@@ -244,7 +256,7 @@ class Propagator:
             self._blk = blk
 
     def pair(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """(e^{A dt}, integral of e^{A s} over [0, dt]); dt may be negative."""
+        """(e^{A dt}, integral of e^{A s} over [0, dt])."""
         expA, phi = self.pairs([dt])
         return expA[0], phi[0]
 
@@ -330,32 +342,6 @@ class _Engine:
         self.snapshot()     # the row at t = 0; holds set at t = 0 do not move it
 
     # -- state ------------------------------------------------------------
-    def advance(self, t_new):
-        """Move the state to t_new under the held drive."""
-        if t_new != self.t:
-            self.X = self._step(*self.prop.pair(t_new - self.t))
-            self.t = t_new
-
-    def state_at(self, t_query):
-        """State matrix at t_query under the current constant drive."""
-        dt = t_query - self.t
-        if dt == 0.0:
-            return self.X
-        return self._step(*self.prop.pair(dt))
-
-    def _step(self, expA, phi):
-        """The state after one flow step, X e^{A dt}^T + drive Phi(dt)^T.
-        ndarray.dot reaches the same BLAS products as @ with less call
-        overhead."""
-        return self.X.dot(expA.T) + self.drive.dot(phi.T)
-
-    def read_channel(self, ch, X=None):
-        X = self.X if X is None else X
-        if self.ends is not None:
-            head, tail = self.ends[ch]
-            return X[head] - X[tail]
-        return X[ch]
-
     def set_hold(self, ch, value):
         """Hold value, saturated when the scenario saturates, on channel ch
         and return the drive. The drive is recomputed unless the channel
@@ -398,25 +384,27 @@ class _Engine:
 
     # -- trace rows -------------------------------------------------------
     def snapshot(self):
-        """Record the current state as a trace row. At the time of the last
-        row, refresh that row instead, so the post-event state wins."""
-        r = self.n_rows - 1
-        if r < 0 or self.row_t[r] != self.t:
-            r += 1
-            if r == len(self.row_t):
-                self.row_t, self.row_x, self.row_dsq = (
-                    np.concatenate([c, np.empty_like(c)])
-                    for c in (self.row_t, self.row_x, self.row_dsq))
-            self.n_rows += 1
-            self.row_t[r] = self.t
+        """Record the current state as a trace row, unless the clock has not
+        moved since the last row: an event changes the drive, never the
+        state."""
+        r = self.n_rows
+        if r and self.row_t[r - 1] == self.t:
+            return
+        if r == len(self.row_t):
+            self.row_t, self.row_x, self.row_dsq = (
+                np.concatenate([c, np.empty_like(c)])
+                for c in (self.row_t, self.row_x, self.row_dsq))
+        self.row_t[r] = self.t
         self.row_x[r] = self.X
+        self.n_rows += 1
 
     def settle(self, final=False):
         """Derive delta_sq for the rows recorded since the last pass,
-        FLOW_CHUNK rows at a time, and check that it is finite. The last row
-        waits for the next pass unless final, since an event at its time may
-        still refresh it. With stop_at_consensus the trace is cut at the
-        consensus row."""
+        FLOW_CHUNK rows at a time, and check that it is finite. With
+        stop_at_consensus the trace is cut at the consensus row. The last row
+        waits for the next pass unless final: events at its time may still be
+        unprocessed (in the next FLOW_CHUNK of the timeline, or in the heap),
+        and a cut at that row must keep them."""
         end = self.n_rows if final else self.n_rows - 1
         while self.n_settled < end:
             sl = slice(self.n_settled, min(end, self.n_settled + FLOW_CHUNK))
@@ -458,9 +446,9 @@ class _Engine:
         self.stopped = True
 
     def _consensus_time(self, t, dsq):
-        """Consensus time of an uncut trace: the first row at least 1 s into
-        the run of rows below the tolerance that the trace ends in, or None.
-        t - t0 grows with t, so a bisection finds that row."""
+        """Consensus time: the first row at least 1 s into the run of rows
+        below the tolerance that the trace ends in (a trace cut at consensus
+        ends on it), or None. t - t0 grows with t, so a bisection finds it."""
         start = 0
         for sl in reversed(list(_chunks(len(t)))):
             above = np.flatnonzero(dsq[sl] >= self.consensus_tol)
@@ -501,8 +489,7 @@ class _Engine:
                      lyapunov=self._lyapunov_column(X) if relative else None,
                      delta_tilde_sq=self._tilde_column(t) if self.track_tilde else None,
                      events=self.events, drive_changes=self.drive_changes,
-                     consensus_time=(float(t[-1]) if self.stopped
-                                     else self._consensus_time(t, dsq)))
+                     consensus_time=self._consensus_time(t, dsq))
 
 
 def _build_schedules(s: Scenario) -> list[ChannelSchedule]:
@@ -606,14 +593,16 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
         last_sent[ch] = value
         return True
 
-    if eng.s.startup == "first_sample":
-        for ch in range(eng.channels):
-            eng.set_hold(ch, eng.read_channel(ch))
     ends, measure, set_hold = eng.ends, eng.measure, eng.set_hold
     events = eng.events
     deliveries = eng.deliveries if eng.track_tilde else None
     row_t, row_x = eng.row_t, eng.row_x      # sized for every row of the run
-    X, t, drive, r = eng.X, eng.t, eng.drive, eng.n_rows - 1
+    X, t, r = eng.X, eng.t, eng.n_rows - 1
+    if eng.s.startup == "first_sample":
+        values = X if ends is None else [X[head] - X[tail] for head, tail in ends]
+        for ch, value in enumerate(values):
+            set_hold(ch, value)
+    drive = eng.drive
     t_row = t       # the time of row r, the last one
     try:
         for sl in _chunks(len(times)):
@@ -663,59 +652,65 @@ def _monitored(eng: _Engine) -> None:
     """Event-triggered updates with a mandatory dwell time in abstract_coupled
     mode: each subsystem monitors its own state continuously after the dwell
     window, with trigger checks every dwell/50 and bisection refinement of
-    the crossing instant; updates are delay-free."""
+    the crossing instant; updates are delay-free. Every state is one forward
+    flow from the last event's (eng.t, eng.X), so each row is written once."""
     s, em = eng.s, eng.s.error_model
     dwell = em.dwell
     dt_check = dwell / 50.0
     # each channel's events lie at least dt_check apart
     _check_budget(s.snapshot_points + 1
                   + eng.channels * (math.ceil(s.horizon / dt_check) + 2))
-    # (time, rank, channel) is unique: one pending event per channel
+    # (time, rank, channel) is unique: one pending event per channel; times
+    # are Python floats, as the event log's are
     heap = [(tg, RANK_GRID, -1)
-            for tg in np.linspace(0.0, s.horizon, s.snapshot_points + 1)]
+            for tg in np.linspace(0.0, s.horizon, s.snapshot_points + 1).tolist()]
     # first update at t = 0 for every channel
     for ch in range(eng.channels):
-        eng.set_hold(ch, eng.read_channel(ch))
+        eng.set_hold(ch, eng.X[ch])
         eng.events.append((0.0, ch, "update"))
         heap.append((dwell, RANK_DWELL_EXPIRE, ch))
     heapq.heapify(heap)
 
+    def flow(t):
+        """The state at t >= eng.t under the held drive. ndarray.dot
+        reaches the same BLAS products as @ with less call overhead."""
+        if t == eng.t:
+            return eng.X
+        expA, phi = eng.prop.pair(t - eng.t)
+        return eng.X.dot(expA.T) + eng.drive.dot(phi.T)
+
     def triggered(ch, X):
-        return event_trigger_check(eng.read_channel(ch, X), eng.H[ch],
-                                   em.omega, cap=em.cap)
+        return event_trigger_check(X[ch], eng.H[ch], em.omega, cap=em.cap)
 
     while heap and not eng.stopped:
         te, rank, ch = heapq.heappop(heap)
         if te > s.horizon:
             break
-        eng.advance(te)
-        if rank in (RANK_DWELL_EXPIRE, RANK_TRIGGER_CHECK):
-            if triggered(ch, eng.X):
-                if rank == RANK_TRIGGER_CHECK:
-                    # Refine the crossing, but not to before the last row:
-                    # every event up to it has been processed. The last
-                    # drive change and the end of this channel's dwell
-                    # window each have a row, so the bracket lies inside
-                    # the constant-drive window.
-                    lo = max(te - dt_check, float(eng.row_t[eng.n_rows - 1]))
-                    hi = te
-                    if lo < hi and not triggered(ch, eng.state_at(lo)):
-                        while hi - lo > TRIGGER_REFINE_TOL:
-                            mid = 0.5 * (lo + hi)
-                            if triggered(ch, eng.state_at(mid)):
-                                hi = mid
-                            else:
-                                lo = mid
-                        te = hi
-                    else:
-                        te = lo if lo < hi else te
-                    eng.advance(te)
-                eng.set_hold(ch, eng.read_channel(ch))
-                eng.events.append((te, ch, "update"))
-                heapq.heappush(heap, (te + dwell, RANK_DWELL_EXPIRE, ch))
-            else:
-                heapq.heappush(heap, (te + dt_check, RANK_TRIGGER_CHECK, ch))
+        X = flow(te)
+        watched = rank in (RANK_DWELL_EXPIRE, RANK_TRIGGER_CHECK)
+        update = watched and triggered(ch, X)
+        if update and rank == RANK_TRIGGER_CHECK:
+            # Bisect for the crossing, but not to before the last event:
+            # every event up to it has been processed, and the drive held since.
+            lo = max(te - dt_check, eng.t)
+            X_lo = flow(lo)
+            if triggered(ch, X_lo):
+                te, X = lo, X_lo
+            while te - lo > TRIGGER_REFINE_TOL:
+                mid = 0.5 * (lo + te)
+                X_mid = flow(mid)
+                if triggered(ch, X_mid):
+                    te, X = mid, X_mid
+                else:
+                    lo = mid
+        eng.t, eng.X = te, X
         eng.snapshot()
+        if update:
+            eng.set_hold(ch, X[ch])
+            eng.events.append((te, ch, "update"))
+            heapq.heappush(heap, (te + dwell, RANK_DWELL_EXPIRE, ch))
+        elif watched:
+            heapq.heappush(heap, (te + dt_check, RANK_TRIGGER_CHECK, ch))
         if eng.n_rows - eng.n_settled > FLOW_CHUNK:
             eng.settle()
 

@@ -295,6 +295,16 @@ def test_run_oversized_h_warns(ex_file, tmp_path, capsys):
     assert any("budget exceeded" in w for w in report["warnings"])
 
 
+def test_run_gain_scales_the_theorem3_budget(ex_file, tmp_path, capsys):
+    # Theorem 3 certifies unit gain; gain 5 divides its budget 0.0691 by 5,
+    # below example 2's lag of 0.069.
+    code, out = run_cli(capsys, "run", ex_file(2, horizon=1.0, gain=[[5.0]]),
+                        "--out", str(tmp_path / "out_gain"))
+    assert code == 0
+    assert json.loads(out)["warnings"] == [
+        "budget exceeded: total lag 0.069 is above the certified budget 0.0138227"]
+
+
 def test_run_schema_error_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"mode": "broadcast"}))
@@ -471,6 +481,24 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
     ("run --seed=-1", _doc(2), 2, "--seed"),
     ("run --seed=18446744073709551616", _doc(2), 2, "--seed"),
     ("reproduce --seed=-1", None, 2, "--seed"),
+    # explicit schedules: instants from t = 0 on, channel_id at its position,
+    # and no gap of a triggered broadcast below the dwell time
+    ("run", _without_schedule(_doc(2), schedules=[
+        {"channel_id": ch, "sample_instants": [-0.5, 0.1, 0.2, 0.3], "delays": [0.0] * 4}
+        for ch in range(5)]), 2, "schedules"),
+    ("run", _without_schedule(_doc(2), schedules=[
+        {"channel_id": 4 - ch, "sample_instants": [0.1, 0.2], "delays": [0.0] * 2}
+        for ch in range(5)]), 2, "schedules"),
+    ("run", _without_schedule(_doc(2), schedules=[
+        {"channel_id": 0, "sample_instants": [0.1, 0.2], "delays": [0.0] * 2}
+        for ch in range(5)]), 2, "schedules"),
+    ("run", _without_schedule(_doc(3), schedules=[
+        {"channel_id": ch, "sample_instants": [0.005 * k for k in range(200)],
+         "delays": [0.0] * 200} for ch in range(5)]), 2, "schedules"),
+    # lyapunov_P is N x N, and a design section gives it
+    ("run", _doc(1, design=None, gain=[[0.5626, 1.0633]], lyapunov_P=[[1.0, 0.0, 0.0]]), 2,
+     "lyapunov_P"),
+    ("run", _doc(1, lyapunov_P=[[1.0, 0.0], [0.0, 1.0]]), 2, "lyapunov_P"),
 ], ids=["negative_design_lambda", "schedule_without_delays", "schedule_and_schedules",
         "seed_not_an_integer", "cycle_size_not_an_integer", "error_model_not_an_object",
         "repeated_sweep_seed",
@@ -492,7 +520,10 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
         "bound_theta_below_1", "bound_theta_1", "schedule_instants_not_increasing",
         "schedule_delay_not_below_gap", "negative_seed", "seed_of_2_to_the_64",
         "sweep_seed_past_64_bits", "negative_sweep_seed", "negative_seed_flag",
-        "seed_flag_of_2_to_the_64", "negative_reproduce_seed_flag"])
+        "seed_flag_of_2_to_the_64", "negative_reproduce_seed_flag",
+        "schedule_instant_before_0", "schedules_relabelled", "schedules_all_channel_0",
+        "triggered_schedule_gap_below_dwell", "lyapunov_P_not_square",
+        "lyapunov_P_with_design"])
 def test_exit_codes(tmp_path, capsys, command, doc, code, names):
     path, out_dir = tmp_path / "doc.json", tmp_path / "out"
     path.write_text(json.dumps(doc))

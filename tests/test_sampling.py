@@ -167,6 +167,9 @@ def test_validate_schedule_catches_violations():
     with pytest.raises(ScheduleError):   # non-increasing instants
         validate_schedule(ChannelSchedule(0, np.array([0.0, 0.0]),
                                           np.array([0.0, 0.0])), 0.01, 0.0)
+    with pytest.raises(ScheduleError, match="t = 0"):   # an instant before t = 0
+        validate_schedule(ChannelSchedule(0, np.array([-0.5, 0.1, 0.2]),
+                                          np.zeros(3)), 1.0, 0.0)
 
 
 def test_channel_rng_streams_independent():

@@ -316,7 +316,7 @@ def test_event_triggered_condition_between_updates():
     updates = [e for e in tr.events if e[2] == "update"]
     assert len(updates) > 2
     assert min_update_gap(tr) >= 0.02 - 1e-9
-    # exactness still holds through the trigger bisection rewinds
+    # exactness still holds through the trigger bisection
     expected = ivp_oracle_final_state(tr)
     assert np.linalg.norm(tr.final_state - expected) < 1e-8
 
@@ -387,6 +387,29 @@ def test_scenario_validation_errors():
         Scenario(mode="broadcast", model=INTEGRATOR, gain=[[1.0]], graph=cycle_graph(3),
                  x0=[0.0, 1.0, 2.0], horizon=1.0, saturation=1.0,
                  schedule=ScheduleParams(0.1, 0.2, 0.05))
+    # explicit schedules start at t >= 0, list the channels in order and,
+    # in a triggered broadcast, keep every gap at least the dwell time
+    inst = np.arange(0.0, 1.0, 0.05)
+    bcast = dict(mode="broadcast", model=INTEGRATOR, gain=[[1.0]], graph=cycle_graph(3),
+                 x0=[0.0, 1.0, 2.0], horizon=1.0)
+    with pytest.raises(ScenarioError, match="schedules"):
+        Scenario(**bcast, schedules=tuple(ChannelSchedule(ch, inst - 0.5, np.zeros_like(inst))
+                                          for ch in range(3)))
+    with pytest.raises(ScenarioError, match="schedules"):
+        Scenario(**bcast, schedules=tuple(ChannelSchedule(2 - ch, inst, np.zeros_like(inst))
+                                          for ch in range(3)))
+    with pytest.raises(ScenarioError, match="schedules"):
+        Scenario(**bcast, error_model=ErrorModel.event_trigger(0.1, dwell=0.06),
+                 schedules=tuple(ChannelSchedule(ch, inst, np.zeros_like(inst))
+                                 for ch in range(3)))
+    Scenario(**bcast, error_model=ErrorModel.event_trigger(0.1, dwell=0.05),
+             schedules=tuple(ChannelSchedule(ch, inst, np.zeros_like(inst)) for ch in range(3)))
+    # lyapunov_P is N x N
+    for P in ([[1.0, 0.0]], [[1.0]], [1.0, 0.0, 0.0, 1.0]):
+        with pytest.raises(ScenarioError, match="lyapunov_P"):
+            Scenario(mode="relative_edges", model=OSCILLATOR, gain=[[0.5, 1.0]],
+                     graph=cycle_graph(3), x0=np.zeros(6), horizon=1.0,
+                     schedule=ScheduleParams(0.1, 0.2, 0.05), lyapunov_P=P)
     for h_min, h_max, tau_max in ((0.2, 0.1, 0.0), (0.1, 0.2, 0.15), (-0.1, 0.2, 0.0),
                                   (0.1, 0.2, -0.01), (np.nan, 0.2, 0.0),
                                   (0.1, np.nan, 0.0), (0.1, 0.2, np.nan)):
@@ -756,6 +779,22 @@ def test_abstract_trigger_rows_in_time_order():
     assert min_update_gap(tr) >= 0.02 - 1e-9
     expected = ivp_oracle_final_state(tr)
     assert np.linalg.norm(tr.final_state - expected) < 1e-8
+
+
+def test_monitored_clock_only_moves_forward(monkeypatch):
+    # Every monitored state is one forward flow from the last event's state:
+    # the crossing refinement brackets after it instead of stepping back.
+    steps = []
+    pair = sim.Propagator.pair
+
+    def recording_pair(self, dt):
+        steps.append(dt)
+        return pair(self, dt)
+    monkeypatch.setattr(sim.Propagator, "pair", recording_pair)
+    tr = run(_equivalence_scenario("event_triggered"))
+    assert len(steps) > len(tr.t)
+    assert min(steps) > 0
+    assert np.all(np.diff(tr.t) > 0)
 
 
 # -- statistics derived after the event loop -----------------------------------
