@@ -374,10 +374,12 @@ def delta_kappa(model: LtiModel, x0_sum, n: int, h: float,
 
 
 def _theorem4(model: LtiModel, design: GainDesign, algebra: GraphAlgebra,
-              h: float, tau: float, delta_e: float, x0_sum, p: SearchParams):
+              h: float, tau: float, delta_e: float | None, x0_sum, p: SearchParams):
     """(error bound, Delta(h), delta_kappa) of theorem 4 at the search
     parameters p. The e^{As} norm constants enter no feasibility condition,
-    so they are sampled once, after every condition holds."""
+    so they are sampled once, after every condition holds. delta_e is None
+    for an error with no additive bound, which is refused (ValueError) once
+    the conditions hold: an infeasible query is reported as such first."""
     if not marginally_stable(model.A):
         raise InfeasibleError("A must be marginally stable for the broadcast bound")
     consts = design_constants(design, model, algebra)
@@ -404,6 +406,9 @@ def _theorem4(model: LtiModel, design: GainDesign, algebra: GraphAlgebra,
     if failures:
         raise SetMembershipError("parameters outside feasibility set: "
                                  + "; ".join(failures))
+    if delta_e is None:
+        raise ValueError("theorem 4 bounds additive errors |e| <= delta_e, and this "
+                         "error model has no such bound: give bound_params delta_e")
 
     max2, maxinf = max_expm_norms(model.A)
     dk = delta_kappa(model, x0_sum, n, h, max_norm2=max2)
@@ -445,7 +450,7 @@ def theorem4_bound_opt_beta(model: LtiModel, design: GainDesign,
 
 
 def theorem4_report(model: LtiModel, design: GainDesign, algebra: GraphAlgebra,
-                    h: float, tau: float, delta_e: float, x0_sum, alpha: float = 0.5,
+                    h: float, tau: float, delta_e: float | None, x0_sum, alpha: float = 0.5,
                     gamma: float = 3.188, eta: float = 1.6,
                     theta: float = SearchParams.theta) -> dict:
     """Theorem-4 error bound at the optimal beta, with the error level

@@ -28,7 +28,7 @@ from . import bounds, scenarios
 from .bounds import InfeasibleError, SetMembershipError
 from .design import DesignError, GainDesign, riccati_design, riccati_residual
 from .graphs import build_algebra
-from .sampling import ScheduleError
+from .sampling import ScheduleError, validate_schedule
 from .sim import metrics, run
 
 EXIT_OK = 0
@@ -99,19 +99,44 @@ def _pipeline_inputs(doc, s=None):
     return model, riccati_design(model, lam, mu), build_algebra(graph)
 
 
+def _h_tau(doc):
+    """(h, tau) of the document's schedules: the schedule section's h_max and
+    tau_max, or else the largest gap between consecutive sample instants and
+    the largest delay over its explicit schedules, each checked as a
+    scenario checks it; None without either."""
+    schedule = scenarios.read(doc, "schedule")
+    if schedule is not None:
+        return schedule.h_max, schedule.tau_max
+    explicit = scenarios.read(doc, "schedules")
+    if explicit is None:
+        return None
+    for ch, sc in enumerate(explicit):
+        try:
+            validate_schedule(sc, math.inf, math.inf)
+        except ScheduleError as exc:
+            raise scenarios.ScenarioFormatError(
+                f"bad schedules section: channel {ch}: {exc}") from exc
+    return (max(float(np.diff(sc.sample_instants).max(initial=0.0)) for sc in explicit),
+            max(float(np.max(sc.delays, initial=0.0)) for sc in explicit))
+
+
 def _theorem4(doc, s, h=None, tau=None, delta_e=None, **params):
     """Theorem 4's report. The keywords are the keys of the 'bound_params'
-    section; h, tau and delta_e default to the schedule's h_max and tau_max
-    and to the error model's cap (event trigger) or delta_e."""
+    section; h and tau default to the document's schedules (_h_tau), and
+    delta_e to the bound on an additive error: 0 under no error, the
+    additive model's delta_e or an event trigger's cap. Any other error
+    model has no such bound, and bounds refuses a missing delta_e."""
     model, design, algebra = _pipeline_inputs(doc, s)
-    sched = scenarios.read(doc, "schedule")
+    h0, tau0 = _h_tau(doc) or (None, None)
+    h = h0 if h is None else h
+    tau = tau0 if tau is None else tau
+    if h is None or tau is None:
+        raise scenarios.ScenarioFormatError(
+            "theorem 4 needs h and tau: give a schedule, explicit schedules "
+            "or bound_params h and tau")
     em = scenarios.read(doc, "error_model")
-    if h is None:
-        h = sched.h_max if sched else 0.0
-    if tau is None:
-        tau = sched.tau_max if sched else 0.0
     if delta_e is None:
-        delta_e = (em.cap if em.kind == "event_trigger" else em.delta_e) or 0.0
+        delta_e = {"none": 0.0, "additive": em.delta_e, "event_trigger": em.cap}.get(em.kind)
     x0 = scenarios.read(doc, "x0", shape=(algebra.graph.n, model.N))
     x0_sum = np.zeros(model.N) if x0 is None else x0.sum(axis=0)
     return bounds.theorem4_report(model, design, algebra, h, tau, delta_e, x0_sum,
@@ -159,9 +184,10 @@ def cmd_bound(args):
 def _budget_warning(doc, s):
     """Best-effort comparison of the scenario's lag against a certified
     budget; returns a warning string or None."""
-    if s.schedule is None or s.graph is None:
+    lags = _h_tau(doc)
+    if lags is None or s.graph is None:
         return None
-    lag = s.schedule.h_max + s.schedule.tau_max + s.input_delay
+    lag = sum(lags) + s.input_delay
     if s.mode == "relative_edges" and scenarios.read(doc, "design") is not None:
         theorem = "c1" if s.error_model.kind == "log_quantizer" else "2"
     elif s.mode == "broadcast" and s.model.N == 1 and s.model.A[0, 0] == 0.0:
@@ -170,10 +196,12 @@ def _budget_warning(doc, s):
         return None
     try:
         report = _bound(doc, theorem, s)
-    except (InfeasibleError, ValueError):
+        budget = report["budget"] if report["feasible"] else None
+    except InfeasibleError:     # the theorem certifies nothing for this design
+        budget = None
+    except ValueError:
         return None
-    budget = report["budget"] if report["feasible"] else None
-    if theorem == "3":
+    if theorem == "3" and budget is not None:
         # Theorem 3 certifies unit gain. x' = -k L x_hat is the unit-gain
         # system in time k t, so gain k = BK > 0 divides the budget by k;
         # no lag is certified for k <= 0.

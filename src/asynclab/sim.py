@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -159,6 +159,9 @@ class Scenario:
                 raise ScenarioError("event triggering excludes relative_edges mode")
             if self.mode != "broadcast" and self.input_delay != 0.0:
                 raise ScenarioError("monitored event triggering excludes delays")
+            if self.monitored and (self.schedule is not None or self.schedules is not None):
+                raise ScenarioError("a monitored trigger takes no schedule: it checks "
+                                    "its condition continuously")
             if (self.mode == "broadcast" and self.schedule is not None
                     and em.dwell > self.schedule.h_min + 1e-12):
                 raise ScenarioError("dwell time must not exceed the minimum sampling gap")
@@ -292,8 +295,9 @@ class _Engine:
     """State, holds and trace rows shared by all simulation modes.
 
     The event loops record only (t, X) per row. settle() derives delta_sq,
-    the one column the loops act on, as the rows come; finish() derives the
-    others once, after the loop, in vectorized passes over the rows."""
+    the one column the loops act on, and the consensus time as the rows
+    come; finish() derives the others once, after the loop, in vectorized
+    passes over the rows."""
 
     def __init__(self, s: Scenario, rows: int):
         self.s = s
@@ -337,8 +341,9 @@ class _Engine:
         d0 = self.X - self.kappa0 if self.consensus_mode else self.X
         self.consensus_tol = (s.consensus_tol if s.consensus_tol is not None
                               else 1e-8 * (1.0 + float(np.sum(d0 * d0))))
-        self.below_since = None     # start of the run of rows below the tolerance
-        self.stopped = False    # cut at the consensus row (stop_at_consensus)
+        # the watch over the settled rows: the start of the run of rows
+        # below the tolerance that they end in, and its consensus time
+        self.below_since = self.consensus_time = None
         self.snapshot()     # the row at t = 0; holds set at t = 0 do not move it
 
     # -- state ------------------------------------------------------------
@@ -398,13 +403,14 @@ class _Engine:
         self.row_x[r] = self.X
         self.n_rows += 1
 
-    def settle(self, final=False):
+    def settle(self, final=False) -> bool:
         """Derive delta_sq for the rows recorded since the last pass,
-        FLOW_CHUNK rows at a time, and check that it is finite. With
-        stop_at_consensus the trace is cut at the consensus row. The last row
-        waits for the next pass unless final: events at its time may still be
-        unprocessed (in the next FLOW_CHUNK of the timeline, or in the heap),
-        and a cut at that row must keep them."""
+        FLOW_CHUNK rows at a time, check that it is finite and watch for
+        consensus. With stop_at_consensus the trace is cut at the consensus
+        row, and settle returns True. The last row waits for the next pass
+        unless final: events at its time may still be unprocessed (in the
+        next FLOW_CHUNK of the timeline, or in the heap), and a cut at that
+        row must keep them."""
         end = self.n_rows if final else self.n_rows - 1
         while self.n_settled < end:
             sl = slice(self.n_settled, min(end, self.n_settled + FLOW_CHUNK))
@@ -417,46 +423,39 @@ class _Engine:
                 raise DivergenceError(f"simulation diverged at t = {float(t[bad[0]])!r}")
             self.row_dsq[sl] = dsq
             self.n_settled = sl.stop
-            if self.s.stop_at_consensus:
-                stop = self._consensus_watch(t, dsq < self.consensus_tol)
-                if stop is not None:
-                    self._cut(sl.start + stop)
-                    return
+            hit = self._consensus_watch(t, dsq < self.consensus_tol)
+            if hit is not None and self.s.stop_at_consensus:
+                self._cut(sl.start + hit)
+                return True
+        return False
 
     def _consensus_watch(self, t, below):
         """Index of the first of the rows t that lies at least 1 s after the
-        first row of its run of rows below the tolerance, or None. The start
-        of a run still open at the last row carries to the next call."""
+        first row of its run of rows below the tolerance, or None. Keeps
+        below_since, the start of the run the rows end in, and consensus_time,
+        the first such row of that run; a row at the tolerance clears both."""
         k = np.arange(len(t))
         run_start = np.maximum.accumulate(np.where(below, -1, k)) + 1
         t0 = t[np.minimum(run_start, len(t) - 1)]
         if self.below_since is not None:
             t0 = np.where(run_start == 0, self.below_since, t0)
         hit = np.flatnonzero(below & (t - t0 >= 1.0))
-        if len(hit):
-            return int(hit[0])
-        self.below_since = float(t0[-1]) if below[-1] else None
+        if not below[-1]:
+            self.below_since = self.consensus_time = None
+        else:
+            self.below_since = float(t0[-1])
+            if self.consensus_time is None or run_start[-1] > 0:
+                late = hit[hit >= run_start[-1]]
+                self.consensus_time = float(t[late[0]]) if len(late) else None
+        return int(hit[0]) if len(hit) else None
 
     def _cut(self, r):
-        """End the trace at row r: drop later rows and the logs after it."""
-        tc = self.row_t[r]
+        """End the trace at row r, the consensus row: drop later rows and
+        the logs after it."""
+        self.consensus_time = tc = float(self.row_t[r])
         self.n_rows = self.n_settled = r + 1
         for log in (self.events, self.drive_changes, self.deliveries):
             del log[bisect_right(log, tc, key=itemgetter(0)):]
-        self.stopped = True
-
-    def _consensus_time(self, t, dsq):
-        """Consensus time: the first row at least 1 s into the run of rows
-        below the tolerance that the trace ends in (a trace cut at consensus
-        ends on it), or None. t - t0 grows with t, so a bisection finds it."""
-        start = 0
-        for sl in reversed(list(_chunks(len(t)))):
-            above = np.flatnonzero(dsq[sl] >= self.consensus_tol)
-            if len(above):
-                start = sl.start + int(above[-1]) + 1
-                break
-        k = bisect_left(t, 1.0, lo=start, key=lambda tk: tk - t[start])
-        return float(t[k]) if k < len(t) else None
 
     def _tilde_column(self, t):
         """delta_tilde_sq at row times t; the held disagreements change only
@@ -489,7 +488,7 @@ class _Engine:
                      lyapunov=self._lyapunov_column(X) if relative else None,
                      delta_tilde_sq=self._tilde_column(t) if self.track_tilde else None,
                      events=self.events, drive_changes=self.drive_changes,
-                     consensus_time=self._consensus_time(t, dsq))
+                     consensus_time=self.consensus_time)
 
 
 def _build_schedules(s: Scenario) -> list[ChannelSchedule]:
@@ -640,8 +639,7 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
                     row_t[r] = t_row = te
                     row_x[r] = X
             eng.X, eng.t, eng.n_rows = X, t, r + 1
-            eng.settle()
-            if eng.stopped:
+            if eng.settle():
                 break
     except (OverflowError, ValueError):
         eng.X, eng.t, eng.n_rows = X, t, r + 1     # for run's divergence check
@@ -682,7 +680,7 @@ def _monitored(eng: _Engine) -> None:
     def triggered(ch, X):
         return event_trigger_check(X[ch], eng.H[ch], em.omega, cap=em.cap)
 
-    while heap and not eng.stopped:
+    while heap:
         te, rank, ch = heapq.heappop(heap)
         if te > s.horizon:
             break
@@ -711,8 +709,8 @@ def _monitored(eng: _Engine) -> None:
             heapq.heappush(heap, (te + dwell, RANK_DWELL_EXPIRE, ch))
         elif watched:
             heapq.heappush(heap, (te + dt_check, RANK_TRIGGER_CHECK, ch))
-        if eng.n_rows - eng.n_settled > FLOW_CHUNK:
-            eng.settle()
+        if eng.n_rows - eng.n_settled > FLOW_CHUNK and eng.settle():
+            break
 
 
 def metrics(trace: Trace) -> dict:

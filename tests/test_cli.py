@@ -11,7 +11,8 @@ import pytest
 
 from asynclab import bounds, cli
 from asynclab.cli import EXPORT_BLOCK, build_parser, main, write_event_log, write_trace_csv
-from asynclab.scenarios import ScenarioFormatError, builtin_example, parse_scenario
+from asynclab.sampling import generate_schedule
+from asynclab.scenarios import LAMBDA_2, ScenarioFormatError, builtin_example, parse_scenario
 from asynclab.sim import ScenarioError, run
 
 
@@ -98,6 +99,28 @@ def test_bound_theorem4_golden(ex_file, capsys):
     assert report["delta_h"] == pytest.approx(0.2894, abs=1e-3)
 
 
+def _drawn_schedules(number, stretch=1.0):
+    """The schedules that the built-in example draws at seed 0, as an
+    explicit schedules section, with the sample instants multiplied by
+    stretch and the delays as drawn."""
+    doc, _ = builtin_example(number)
+    p = doc["schedule"]
+    drawn = [generate_schedule(p["h_min"], p["h_max"], p["tau_max"], doc["horizon"], 0, ch)
+             for ch in range(5)]
+    return [{"channel_id": sc.channel_id, "delays": sc.delays.tolist(),
+             "sample_instants": (stretch * sc.sample_instants).tolist()} for sc in drawn]
+
+
+def test_bound_theorem4_reads_explicit_schedules(ex_file, capsys):
+    # h and tau are the largest gap (0.025) and delay (0.0199992) of the
+    # schedules, as the schedule section's h_max and tau_max would be.
+    code, out = run_cli(capsys, "bound", ex_file(3, schedule=None,
+                                                 schedules=_drawn_schedules(3)),
+                        "--theorem", "4")
+    assert code == 0
+    assert json.loads(out)["error_bound"] == pytest.approx(0.4535, abs=1e-2)
+
+
 def test_bound_theorem1_query_route(tmp_path, capsys):
     path = tmp_path / "q.json"
     path.write_text(json.dumps({
@@ -130,7 +153,8 @@ def test_bound_unbounded_is_null_in_strict_json(tmp_path, capsys):
 
 # A feasible theorem-4 query on example 1's oscillators: its A is not
 # diagonal, so the norms come from the batched Pade scan.
-FEASIBLE_OSCILLATOR = {"h": 1e-4, "tau": 0.0, "alpha": 0.5, "gamma": 40.0, "eta": 3.0}
+FEASIBLE_OSCILLATOR = {"h": 1e-4, "tau": 0.0, "delta_e": 0.0, "alpha": 0.5, "gamma": 40.0,
+                       "eta": 3.0}
 
 
 @pytest.mark.parametrize("command, example, expm_calls", [
@@ -303,6 +327,27 @@ def test_run_gain_scales_the_theorem3_budget(ex_file, tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["warnings"] == [
         "budget exceeded: total lag 0.069 is above the certified budget 0.0138227"]
+
+
+def test_run_warns_on_explicit_schedules_above_the_budget(ex_file, tmp_path, capsys):
+    # example 3's own schedules with the sample instants 8 times as far
+    # apart: a lag of 0.2 + 0.02, above theorem 3's budget
+    doc = ex_file(3, horizon=1.0, schedule=None, schedules=_drawn_schedules(3, stretch=8.0))
+    code, out = run_cli(capsys, "run", doc, "--out", str(tmp_path / "out_explicit"))
+    assert code == 0
+    assert json.loads(out)["warnings"] == [
+        "budget exceeded: total lag 0.219999 is above the certified budget 0.0691136"]
+
+
+def test_run_warns_when_no_theorem_certifies_the_design(ex_file, tmp_path, capsys):
+    # design lambda 2 lambda_2 fails theorem 2's Lyapunov inequality family
+    # (bound --theorem 2 exits 3), so no lag is certified
+    doc = ex_file(1, horizon=1.0, design={"lambda": 2.0 * LAMBDA_2, "mu": 1.0})
+    assert run_cli(capsys, "bound", doc, "--theorem", "2")[0] == 3
+    code, out = run_cli(capsys, "run", doc, "--out", str(tmp_path / "out_design"))
+    assert code == 0
+    assert json.loads(out)["warnings"] == [
+        "budget exceeded: no lag is certified for this configuration"]
 
 
 def test_run_schema_error_exits_2(tmp_path, capsys):
@@ -499,6 +544,23 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
     ("run", _doc(1, design=None, gain=[[0.5626, 1.0633]], lyapunov_P=[[1.0, 0.0, 0.0]]), 2,
      "lyapunov_P"),
     ("run", _doc(1, lyapunov_P=[[1.0, 0.0], [0.0, 1.0]]), 2, "lyapunov_P"),
+    # theorem 4 takes h and tau from a schedule of either kind, or from
+    # bound_params, and delta_e bounds an additive error only
+    ("bound 4", _doc(3, schedule=None), 2, "bound_params"),
+    ("bound 4", _without_schedule(_doc(3), schedules=[
+        {"channel_id": ch, "sample_instants": [0.1, 0.1], "delays": [0.0, 0.0]}
+        for ch in range(5)]), 2, "schedules"),
+    ("bound 4", _doc(3, error_model={"kind": "multiplicative", "omega": 0.5}), 2,
+     "bound_params delta_e"),
+    ("bound 4", _doc(3, error_model={"kind": "log_quantizer", "level": 2.0}), 2,
+     "bound_params delta_e"),
+    ("bound 4", _doc(3, error_model={"kind": "event_trigger", "omega": 0.09, "dwell": 0.025}),
+     2, "bound_params delta_e"),
+    # a continuously monitored trigger takes no schedule of either kind
+    ("run", _doc(2, **TWO_UNITS, error_model=TRIGGER), 2, "schedule"),
+    ("run", _without_schedule(_doc(2), **TWO_UNITS, error_model=TRIGGER, schedules=[
+        {"channel_id": ch, "sample_instants": [0.1, 0.2], "delays": [0.0] * 2}
+        for ch in range(2)]), 2, "schedule"),
 ], ids=["negative_design_lambda", "schedule_without_delays", "schedule_and_schedules",
         "seed_not_an_integer", "cycle_size_not_an_integer", "error_model_not_an_object",
         "repeated_sweep_seed",
@@ -523,7 +585,9 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
         "seed_flag_of_2_to_the_64", "negative_reproduce_seed_flag",
         "schedule_instant_before_0", "schedules_relabelled", "schedules_all_channel_0",
         "triggered_schedule_gap_below_dwell", "lyapunov_P_not_square",
-        "lyapunov_P_with_design"])
+        "lyapunov_P_with_design", "theorem4_without_schedule", "theorem4_bad_schedules",
+        "theorem4_multiplicative_error", "theorem4_log_quantizer", "theorem4_uncapped_trigger",
+        "monitored_trigger_with_schedule", "monitored_trigger_with_schedules"])
 def test_exit_codes(tmp_path, capsys, command, doc, code, names):
     path, out_dir = tmp_path / "doc.json", tmp_path / "out"
     path.write_text(json.dumps(doc))

@@ -404,6 +404,14 @@ def test_scenario_validation_errors():
                                  for ch in range(3)))
     Scenario(**bcast, error_model=ErrorModel.event_trigger(0.1, dwell=0.05),
              schedules=tuple(ChannelSchedule(ch, inst, np.zeros_like(inst)) for ch in range(3)))
+    # a continuously monitored trigger takes no schedule of either kind
+    monitor = dict(mode="abstract_coupled", model=INTEGRATOR, gain=[[1.0]],
+                   coupling=np.eye(1), x0=[0.0], horizon=1.0,
+                   error_model=ErrorModel.event_trigger(0.1, dwell=0.05))
+    for sched in ({"schedule": ScheduleParams(0.5, 0.9, 0.4)},
+                  {"schedules": (ChannelSchedule(0, inst, np.zeros_like(inst)),)}):
+        with pytest.raises(ScenarioError, match="monitored trigger takes no schedule"):
+            Scenario(**monitor, **sched)
     # lyapunov_P is N x N
     for P in ([[1.0, 0.0]], [[1.0]], [1.0, 0.0, 0.0, 1.0]):
         with pytest.raises(ScenarioError, match="lyapunov_P"):
@@ -868,27 +876,30 @@ def _consensus_reference(t, delta_sq, tol):
 def test_consensus_watch_across_chunks(monkeypatch):
     # Example 3 hovers around its error level; tolerances at quantiles of
     # delta_sq make runs of rows below them start and break many times.
+    # Example 1 (relative edges, quantized) and a continuously monitored
+    # run take the same rule: one watch answers when consensus came and
+    # where stop_at_consensus cuts, in both loops.
     monkeypatch.setattr(sim, "FLOW_CHUNK", 97)
-    s = _example(3, 12.0)
-    full = run(s)
-    checked = 0
-    for q in (0.3, 0.6, 0.9, 0.99, 1.0):
-        tol = float(np.quantile(full.delta_sq, q)) * (1.0 + 1e-9)
-        tr = run(replace(s, consensus_tol=tol))
-        consensus, first = _consensus_reference(tr.t, tr.delta_sq, tol)
-        assert tr.consensus_time == consensus
-        if first is None:
-            continue
-        checked += 1
-        cut = run(replace(s, consensus_tol=tol, stop_at_consensus=True))
-        assert cut.consensus_time == tr.t[first] == cut.t[-1]
-        assert len(cut.t) == first + 1
-        assert np.array_equal(cut.states, tr.states[:first + 1])
-        assert np.array_equal(cut.delta_sq, tr.delta_sq[:first + 1])
-        n = sum(t <= cut.t[-1] for t, _, _ in tr.events)
-        assert cut.events == tr.events[:n]
-        assert all(t <= cut.t[-1] for t, _ in cut.drive_changes)
-    assert checked >= 2
+    for s in (_example(3, 12.0), _example(1, 6.0), _equivalence_scenario("event_triggered")):
+        full = run(s)
+        checked = 0
+        for q in (0.3, 0.6, 0.9, 0.99, 1.0):
+            tol = float(np.quantile(full.delta_sq, q)) * (1.0 + 1e-9)
+            tr = run(replace(s, consensus_tol=tol))
+            consensus, first = _consensus_reference(tr.t, tr.delta_sq, tol)
+            assert tr.consensus_time == consensus
+            if first is None:
+                continue
+            checked += 1
+            cut = run(replace(s, consensus_tol=tol, stop_at_consensus=True))
+            assert cut.consensus_time == tr.t[first] == cut.t[-1]
+            assert len(cut.t) == first + 1
+            assert np.array_equal(cut.states, tr.states[:first + 1])
+            assert np.array_equal(cut.delta_sq, tr.delta_sq[:first + 1])
+            n = sum(t <= cut.t[-1] for t, _, _ in tr.events)
+            assert cut.events == tr.events[:n]
+            assert all(t <= cut.t[-1] for t, _ in cut.drive_changes)
+        assert checked >= 2
 
 
 def test_divergence_found_when_the_loop_fails_first():
