@@ -101,9 +101,12 @@ def _pipeline_inputs(doc, s=None):
 
 def _h_tau(doc):
     """(h, tau) of the document's schedules: the schedule section's h_max and
-    tau_max, or else the largest gap between consecutive sample instants and
-    the largest delay over its explicit schedules, each checked as a
-    scenario checks it; None without either."""
+    tau_max, or else, over its explicit schedules, the largest delay and the
+    longest span without a sample: the first instant, a gap between
+    consecutive instants, or the span from the last instant to the
+    document's horizon, which explicit schedules therefore require. Each
+    explicit schedule is checked as a scenario checks it; None without
+    either section."""
     schedule = scenarios.read(doc, "schedule")
     if schedule is not None:
         return schedule.h_max, schedule.tau_max
@@ -116,7 +119,9 @@ def _h_tau(doc):
         except ScheduleError as exc:
             raise scenarios.ScenarioFormatError(
                 f"bad schedules section: channel {ch}: {exc}") from exc
-    return (max(float(np.diff(sc.sample_instants).max(initial=0.0)) for sc in explicit),
+    horizon = scenarios.read(doc, "horizon", required=True)
+    spans = (np.diff(sc.sample_instants, prepend=0.0, append=horizon) for sc in explicit)
+    return (max(float(d.max(initial=0.0)) for d in spans),
             max(float(np.max(sc.delays, initial=0.0)) for sc in explicit))
 
 

@@ -4,10 +4,10 @@ Lyapunov-inequality verification over the Laplacian spectrum."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .graphs import GraphAlgebra
 from .matan import LtiModel, max_singular_value, symmetric_part_max_eig
@@ -36,28 +36,59 @@ def riccati_design(model: LtiModel, lam: float, mu: float) -> GainDesign:
     """Solve P A + A^T P - 2 lam P B B^T P = -2 mu I for the stabilizing
     positive-definite P and return K = B^T P.
 
-    The equation maps onto the standard CARE with Q = 2 mu I and
-    R = I / (2 lam); scipy solves it via the Hamiltonian / ordered-Schur
-    invariant-subspace method.
+    A scalar state (N = 1) makes the equation the quadratic
+    2 a p - 2 lam |b|^2 p^2 + 2 mu = 0, whose positive root has a closed
+    form (_scalar_riccati). Otherwise the equation maps onto the standard
+    CARE with Q = 2 mu I and R = I / (2 lam), which scipy solves via the
+    Hamiltonian / ordered-Schur invariant-subspace method; scipy is
+    imported only then. Both solutions pass the same residual and
+    positive-definiteness checks.
     """
     if lam <= 0 or mu <= 0:
         raise DesignError("lambda and mu must be positive")
     A, B = model.A, model.B
     N = model.N
-    try:
-        P = sla.solve_continuous_are(
-            A, B, 2.0 * mu * np.eye(N), np.eye(model.M) / (2.0 * lam)
-        )
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise DesignError(f"Riccati solver failed: {exc}") from exc
-    P = (P + P.T) / 2.0
-    design = GainDesign(P=P, K=B.T @ P, mu=float(mu), lam=float(lam))
-    residual = riccati_residual(design, model)
-    if residual > 1e-8 * (1.0 + np.linalg.norm(P, "fro")):
+    if N == 1:
+        P = _scalar_riccati(float(A[0, 0]), float((B @ B.T)[0, 0]), lam, mu)
+    else:
+        import scipy.linalg
+        # a bad solution is refused by the checks below, so numpy stays
+        # quiet about the floating-point errors that led to it
+        try:
+            with np.errstate(all="ignore"):
+                P = scipy.linalg.solve_continuous_are(
+                    A, B, 2.0 * mu * np.eye(N), np.eye(model.M) / (2.0 * lam)
+                )
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise DesignError(f"Riccati solver failed: {exc}") from exc
+        P = (P + P.T) / 2.0
+    # The residual against the size of the equation's terms, in the largest
+    # absolute entry, which neither underflows nor lets a NaN pass.
+    PA, PBBtP = P @ A, P @ B @ B.T @ P
+    residual = np.abs(PA + PA.T - 2.0 * lam * PBBtP + 2.0 * mu * np.eye(N)).max()
+    scale = 2.0 * np.abs(PA).max() + 2.0 * lam * np.abs(PBBtP).max() + 2.0 * mu
+    if not (residual <= 1e-8 * scale and math.isfinite(scale)):
         raise DesignError(f"Riccati residual too large: {residual:.3e}")
     if np.linalg.eigvalsh(P)[0] <= 0:
         raise DesignError("Riccati solution is not positive definite")
-    return design
+    return GainDesign(P=P, K=B.T @ P, mu=float(mu), lam=float(lam))
+
+
+def _scalar_riccati(a: float, bb: float, lam: float, mu: float) -> np.ndarray:
+    """The positive root p of 2 a p - 2 lam bb p^2 + 2 mu = 0 (bb = |b|^2),
+    as a 1 x 1 P. r = sqrt(a^2 + 4 lam mu bb) is taken as a hypotenuse of
+    square roots, so neither a square nor the product under- or overflows;
+    p = 2 mu / (r - a) for a < 0 and (a + r) / (2 lam bb) otherwise, so
+    that no branch subtracts nearly equal numbers."""
+    r = math.hypot(a, 2.0 * math.sqrt(lam * bb) * math.sqrt(mu))
+    num, den = (2.0 * mu, r - a) if a < 0 else (a + r, 2.0 * lam * bb)
+    if den == 0:
+        raise DesignError("Riccati equation has no positive solution: "
+                          "(A, B) is not stabilizable")
+    p = num / den
+    if not (math.isfinite(p) and p > 0):
+        raise DesignError(f"Riccati solution is not positive and finite: {p!r}")
+    return np.array([[p]])
 
 
 def riccati_residual(design: GainDesign, model: LtiModel) -> float:

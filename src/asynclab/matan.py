@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 # Below this magnitude the spectral abscissa is treated as zero and the
 # exact limit expressions are used instead of the generic formulas.
@@ -58,7 +57,8 @@ def expm(M, t=1.0) -> np.ndarray:
 
     Delegates to scipy's scaling-and-squaring implementation (Al-Mohy and
     Higham, degree-13 Pade approximant with norm-based squaring), which
-    treats every matrix of a stack on its own.
+    treats every matrix of a stack on its own; scipy is imported on the
+    first call, not with this module.
     """
     M = _as_square(M)
     t = np.asarray(t, dtype=float)
@@ -66,9 +66,10 @@ def expm(M, t=1.0) -> np.ndarray:
         raise DimensionError(f"t must be a scalar or 1-d, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
+    import scipy.linalg
     # an overflow is raised below, so numpy stays quiet about it
     with np.errstate(over="ignore"):
-        out = sla.expm(M * t[..., None, None])
+        out = scipy.linalg.expm(M * t[..., None, None])
     if not np.all(np.isfinite(out)):
         raise OverflowError("matrix exponential overflowed; ||M t|| too large")
     return out

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
-import scipy.linalg as sla
 
 from .graphs import InteractionGraph, build_algebra, is_connected
 from .matan import LtiModel
@@ -274,7 +273,8 @@ class Propagator:
             phiw = np.where(small, dts * (1.0 + wd / 2.0 + wd * wd / 6.0),
                             (ew - 1.0) / np.where(small, 1.0, self.w))
             return self._modal(ew), self._modal(phiw)
-        E = sla.expm(self._blk * dts[:, :, None])
+        import scipy.linalg     # only a defective A needs it
+        E = scipy.linalg.expm(self._blk * dts[:, :, None])
         return E[:, : self.n, : self.n], E[:, : self.n, self.n:]
 
     def exps(self, ts) -> np.ndarray:

@@ -339,6 +339,47 @@ def test_run_warns_on_explicit_schedules_above_the_budget(ex_file, tmp_path, cap
         "budget exceeded: total lag 0.219999 is above the certified budget 0.0691136"]
 
 
+def _every_channel_samples_at(instants):
+    return [{"channel_id": ch, "sample_instants": instants, "delays": [0.0] * len(instants)}
+            for ch in range(5)]
+
+
+# Example 3 over 5 s with every channel sampling only in its first 0.06 s:
+# the span from the last sample to the horizon, 4.94 s, is its h.
+STOPPED = {"horizon": 5.0, "schedule": None,
+           "schedules": _every_channel_samples_at([0.01, 0.035, 0.06])}
+
+
+def test_bound_theorem4_measures_a_stopped_schedule(ex_file, capsys):
+    code, out = run_cli(capsys, "bound", ex_file(3, **STOPPED), "--theorem", "4")
+    assert code == 3
+    assert "Gamma" in json.loads(out)["error"]
+    # without a horizon the last span has no end: refused, not certified
+    code, out = run_cli(capsys, "bound", ex_file(3, **{**STOPPED, "horizon": None}),
+                        "--theorem", "4")
+    assert code == 2
+    assert "horizon" in json.loads(out)["error"]
+
+
+def test_run_warns_on_a_stopped_schedule(ex_file, tmp_path, capsys):
+    code, out = run_cli(capsys, "run", ex_file(3, **STOPPED), "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert json.loads(out)["warnings"] == [
+        "budget exceeded: total lag 4.94 is above the certified budget 0.0691136"]
+
+
+def test_explicit_schedule_end_spans_within_its_largest_gap(ex_file, tmp_path, capsys):
+    # first instant 0.05 and last span 0.05 (to the horizon 0.25), both
+    # below the largest gap 0.08: h is that gap, as before the end spans
+    # were counted
+    doc = ex_file(2, horizon=0.25, schedule=None,
+                  schedules=_every_channel_samples_at([0.05, 0.13, 0.2]))
+    code, out = run_cli(capsys, "run", doc, "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert json.loads(out)["warnings"] == [
+        "budget exceeded: total lag 0.08 is above the certified budget 0.0691136"]
+
+
 def test_run_warns_when_no_theorem_certifies_the_design(ex_file, tmp_path, capsys):
     # design lambda 2 lambda_2 fails theorem 2's Lyapunov inequality family
     # (bound --theorem 2 exits 3), so no lag is certified

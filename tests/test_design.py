@@ -1,5 +1,8 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from asynclab.design import (DesignError, design_constants, riccati_design,
                              riccati_residual, theorem4_sigma,
@@ -53,6 +56,70 @@ def test_riccati_rejects_bad_inputs():
     # Unstabilizable pair: A = 1, B = 0.
     with pytest.raises(DesignError):
         riccati_design(LtiModel(A=[[1.0]], B=[[0.0]]), lam=1.0, mu=1.0)
+
+
+def _scalar_draws(seed, count, decades):
+    """count scalar models (a, B) per sign of a and per B of 1 and 3
+    columns, each with its (lam, mu); every magnitude is log-uniform over
+    10^(+-decades)."""
+    rng = np.random.default_rng(seed)
+    for sign in (-1.0, 0.0, 1.0):
+        for m in (1, 3):
+            for _ in range(count):
+                a, b_norm, lam, mu = 10.0 ** rng.uniform(-decades, decades, 4)
+                b = rng.normal(size=(1, m))
+                yield (LtiModel(A=[[sign * a]], B=b_norm * b / np.linalg.norm(b)),
+                       float(lam), float(mu))
+
+
+def test_scalar_design_matches_scipy():
+    # The closed form and scipy's Schur solver agree to 1e-14 relative on
+    # well-scaled scalar equations, for a < 0, a = 0 and a > 0.
+    for model, lam, mu in _scalar_draws(1, 100, 0.5):
+        p = riccati_design(model, lam, mu).P[0, 0]
+        q = scipy.linalg.solve_continuous_are(
+            model.A, model.B, 2.0 * mu * np.eye(1), np.eye(model.M) / (2.0 * lam))[0, 0]
+        assert abs(p - q) <= 1e-14 * q, (model, lam, mu)
+
+
+def test_scalar_design_matches_the_exact_root():
+    # Over four decades either way, where scipy's solution drifts by up to
+    # ~3e-12, the closed form stays within a few ulps of the positive root
+    # of 2 a p - 2 lam |b|^2 p^2 + 2 mu = 0 in 60-digit arithmetic.
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for model, lam, mu in _scalar_draws(2, 50, 2.0):
+            a, lam_d, mu_d = Decimal(model.A[0, 0]), Decimal(lam), Decimal(mu)
+            bb = sum(Decimal(x) ** 2 for x in model.B.ravel().tolist())
+            root = (a + (a * a + 4 * lam_d * mu_d * bb).sqrt()) / (2 * lam_d * bb)
+            p = Decimal(riccati_design(model, lam, mu).P[0, 0])
+            assert abs(p - root) <= Decimal(1e-15) * root, (model, lam, mu)
+
+
+def test_scalar_design_edge_cases():
+    # B = 0 leaves the linear equation 2 a p + 2 mu = 0: p = mu / |a| for
+    # a stable a, and no solution otherwise.
+    d = riccati_design(LtiModel(A=[[-4.0]], B=[[0.0]]), lam=1.0, mu=3.0)
+    assert d.P[0, 0] == 0.75
+    for a in (0.0, 1.0):
+        with pytest.raises(DesignError):
+            riccati_design(LtiModel(A=[[a]], B=[[0.0]]), lam=1.0, mu=1.0)
+    # an infinite lambda has no positive finite root: refused, never a NaN P
+    for a in (-1.0, 0.0, 1.0):
+        for b in (0.0, 1.0):
+            with pytest.raises(DesignError):
+                riccati_design(LtiModel(A=[[a]], B=[[b]]), lam=np.inf, mu=1.0)
+
+
+def test_riccati_refuses_a_residual_lost_to_underflow():
+    # With lam = mu = 1e-300 the answer is P = I. scipy returns ~2.8e-209 I
+    # for two states, whose 2e-300 residual has an underflowing Frobenius
+    # norm; measured against the size of the equation's terms it is refused.
+    with pytest.raises(DesignError, match="residual"):
+        riccati_design(LtiModel(A=np.zeros((2, 2)), B=np.eye(2)), lam=1e-300, mu=1e-300)
+    # The closed form of the scalar equation has no such loss.
+    d = riccati_design(INTEGRATOR, lam=1e-300, mu=1e-300)
+    assert d.P[0, 0] == 1.0 and d.K[0, 0] == 1.0
 
 
 def test_lyapunov_family_over_spectrum():
