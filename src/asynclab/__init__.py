@@ -20,6 +20,6 @@ from .matan import DimensionError, LtiModel, SpectralConstants
 from .sampling import (ChannelSchedule, ErrorModel, ScheduleError,
                        generate_schedule, log_quantize, saturation_scale,
                        validate_schedule)
-from .sim import Scenario, ScenarioError, ScheduleParams, Trace, metrics, run
+from .sim import Scenario, ScenarioError, ScheduleParams, Trace, run
 
 __version__ = "0.1.0"

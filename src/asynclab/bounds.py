@@ -150,6 +150,7 @@ def _best_margin(mu, eps, omega, lam_As, sigma_A, coupling, s):
     return mu - eps * E * g * g
 
 
+@np.errstate(over="ignore")     # a margin beyond the float range is -inf
 def _find_budget(mu, eps, omega, lam_As, sigma_A, coupling):
     """Largest lag s with positive best margin f(s) = mu - eps P(s), where
     P(s) = e^{2 lam_As s} g(s)^2, g(s) = sqrt(omega) + c s and
@@ -296,6 +297,8 @@ def theorem2_budget(model: LtiModel, design: GainDesign, algebra: GraphAlgebra,
 def theorem3_budget(algebra: GraphAlgebra) -> BoundReport:
     """Maximum h + tau for single-integrator broadcast consensus with unit
     gain; closed-form inner optimum over gamma."""
+    if algebra.graph.n < 2:
+        raise InfeasibleError("theorem 3 needs at least two agents")
     if not is_connected(algebra.graph):
         raise InfeasibleError("interaction graph must be connected")
     lam2, lam_n = algebra.lambda_2, algebra.lambda_n
@@ -363,12 +366,10 @@ def max_expm_norms(A) -> tuple[float, float]:
     return best2, bestinf
 
 
-def delta_kappa(model: LtiModel, x0_sum, n: int, h: float,
-                max_norm2: float | None = None) -> float:
+def delta_kappa(model: LtiModel, x0_sum, n: int, h: float, max_norm2: float) -> float:
     """Bound on the held-vs-true consensus-trajectory mismatch induced by
-    sampling the drifting average with period at most h."""
-    if max_norm2 is None:
-        max_norm2, _ = max_expm_norms(model.A)
+    sampling the drifting average with period at most h; max_norm2 is the
+    largest ||e^{As}||_2 (max_expm_norms)."""
     growth = lemma1_bounds(model.constants, h)[1]     # bounds ||e^{Ah} - I||_2
     return (1.0 / math.sqrt(n)) * float(np.linalg.norm(x0_sum)) * max_norm2 * growth
 
@@ -411,7 +412,7 @@ def _theorem4(model: LtiModel, design: GainDesign, algebra: GraphAlgebra,
                          "error model has no such bound: give bound_params delta_e")
 
     max2, maxinf = max_expm_norms(model.A)
-    dk = delta_kappa(model, x0_sum, n, h, max_norm2=max2)
+    dk = delta_kappa(model, x0_sum, n, h, max2)
     delta = lam_n * consts.sigma_BK * (dk + delta_e)
     dbar = (C * (1.0 + 1.0 / p.alpha) * maxinf**2 * n * s * s * delta**2
             + 0.5 * lam_P * p.eta * delta**2)

@@ -3,7 +3,7 @@ runs with trace export, and built-in benchmark reproduction.
 
 Exit codes (stable contract):
     0  success / feasible
-    2  invalid input or solver failure
+    2  invalid input, input beyond the float range, or solver failure
     3  infeasible bound query
     4  runtime failure during simulation
     5  golden-value mismatch in `reproduce`
@@ -29,7 +29,7 @@ from .bounds import InfeasibleError, SetMembershipError
 from .design import DesignError, GainDesign, riccati_design, riccati_residual
 from .graphs import build_algebra
 from .sampling import ScheduleError, validate_schedule
-from .sim import metrics, run
+from .sim import run
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -254,17 +254,15 @@ def write_event_log(trace, path):
 
 def _run_report(trace, runtime, warning, outdir, tag):
     """Write one run's trace and event log; returns its report entry."""
-    s = trace.scenario
-    m = metrics(trace)
     csv_path = os.path.join(outdir, f"trace{tag}.csv")
     events_path = os.path.join(outdir, f"events{tag}.json")
     write_trace_csv(trace, csv_path)
     write_event_log(trace, events_path)
     return {
-        "seed": s.seed,
-        "consensus": m["consensus"],
-        "consensus_time": m["consensus_time"],
-        "final_delta_sq": m["final_delta_sq"],
+        "seed": trace.scenario.seed,
+        "consensus": trace.consensus_time is not None,
+        "consensus_time": trace.consensus_time,
+        "final_delta_sq": float(trace.delta_sq[-1]),
         "runtime_s": runtime,
         "warnings": [warning] if warning else [],
         "outputs": [csv_path, events_path],
@@ -335,10 +333,9 @@ def cmd_reproduce(args):
     except RUN_ERRORS as exc:
         _emit({"example": number, "goldens": rows, "error": str(exc)})
         return EXIT_RUNTIME
-    m = metrics(trace)
     report = {"example": number, "goldens": rows,
-              "consensus": m["consensus"],
-              "final_delta_sq": m["final_delta_sq"]}
+              "consensus": trace.consensus_time is not None,
+              "final_delta_sq": float(trace.delta_sq[-1])}
     if args.out:
         write_trace_csv(trace, os.path.join(args.out, f"example{number}.csv"))
         with open(os.path.join(args.out, f"example{number}_report.json"), "w") as f:
@@ -401,6 +398,9 @@ def main(argv=None):
         except (OSError, ValueError, KeyError, TypeError, DesignError) as exc:
             # JSON decode, scenario and schedule errors are ValueErrors
             _emit({"error": str(exc)})
+            code = EXIT_INVALID
+        except OverflowError as exc:
+            _emit({"error": f"input out of floating-point range: {exc}"})
             code = EXIT_INVALID
         sys.stdout.flush()      # here, not at interpreter exit, where no handler runs
     except BrokenPipeError:

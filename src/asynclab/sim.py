@@ -45,7 +45,6 @@ TRIGGER_REFINE_TOL = 1e-9
 FLOW_CHUNK = 4096
 
 MODES = ("abstract_coupled", "relative_edges", "broadcast")    # coupling structures
-EVENT_COUNT_WINDOW = 0.1     # seconds per bin of the event counts of metrics()
 
 
 class ScenarioError(ValueError):
@@ -216,10 +215,6 @@ class Trace:
     events: list                       # (time, channel, kind)
     drive_changes: list                # (time, drive matrix snapshot)
     consensus_time: float | None = None
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def _chunks(n: int):
@@ -711,57 +706,3 @@ def _monitored(eng: _Engine) -> None:
             heapq.heappush(heap, (te + dt_check, RANK_TRIGGER_CHECK, ch))
         if eng.n_rows - eng.n_settled > FLOW_CHUNK and eng.settle():
             break
-
-
-def metrics(trace: Trace) -> dict:
-    """Derived metric series: event counts per EVENT_COUNT_WINDOW, the
-    consensus flag, and trailing minima of the consensus errors."""
-    s = trace.scenario
-    counts = {}
-    if s.horizon > 0:
-        edges = np.arange(0.0, s.horizon + EVENT_COUNT_WINDOW, EVENT_COUNT_WINDOW)
-        for kind in ("sample", "deliver", "update"):
-            times = [t for t, _, k in trace.events if k == kind]
-            if times:
-                counts[kind] = np.histogram(times, bins=edges)[0]
-    out = {
-        "delta_sq": trace.delta_sq,
-        "lyapunov": trace.lyapunov,
-        "delta_tilde_sq": trace.delta_tilde_sq,
-        "event_counts": counts,
-        "consensus": trace.consensus_time is not None,
-        "consensus_time": trace.consensus_time,
-        "final_delta_sq": float(trace.delta_sq[-1]) if len(trace.delta_sq) else None,
-    }
-    if trace.delta_tilde_sq is not None and len(trace.t):
-        tail = trace.t >= trace.t[-1] - 1.0
-        out["trailing_min_delta_tilde_sq"] = float(trace.delta_tilde_sq[tail].min())
-    return out
-
-
-def min_update_gap(trace: Trace) -> float:
-    """Smallest gap between consecutive updates of the same channel in an
-    event-triggered run (the Zeno-freeness witness)."""
-    per_channel: dict[int, list[float]] = {}
-    for t, ch, kind in trace.events:
-        if kind == "update":
-            per_channel.setdefault(ch, []).append(t)
-    gaps = [np.diff(ts).min() for ts in per_channel.values() if len(ts) > 1]
-    return float(min(gaps)) if gaps else math.inf
-
-
-def average_state_error(trace: Trace) -> float:
-    """Max over snapshots of || mean_i x_i(t) - e^{At} mean_i x_i(0) ||."""
-    s = trace.scenario
-    if s.mode not in ("relative_edges", "broadcast"):
-        raise ScenarioError("average-state invariance applies to consensus modes")
-    N = s.model.N
-    n = s.graph.n
-    prop = Propagator(s.model.A)
-    mean0 = s.x0.reshape(n, N).mean(axis=0)
-    means = trace.states.reshape(-1, n, N).mean(axis=1)
-    worst = 0.0
-    for sl in _chunks(len(trace.t)):
-        drift = np.linalg.norm(means[sl] - prop.exps(trace.t[sl]) @ mean0, axis=1)
-        worst = max(worst, float(drift.max(initial=0.0)))
-    return worst

@@ -404,13 +404,14 @@ def test_max_expm_norms_diagonal_takes_no_samples(monkeypatch):
 
 
 def test_delta_kappa_vanishes_for_integrators():
-    assert delta_kappa(INTEGRATOR, np.array([3.0]), 5, 0.025) == 0.0
+    assert delta_kappa(INTEGRATOR, np.array([3.0]), 5, 0.025,
+                       max_expm_norms(INTEGRATOR.A)[0]) == 0.0
 
 
 def test_delta_kappa_oscillator_hand_value():
     # lambda_As = 0 limit: growth = sigma_A * h; max ||e^{As}||_2 = 1.
     x0_sum = np.array([2.0, -1.0])
-    val = delta_kappa(OSCILLATOR, x0_sum, 5, 0.01)
+    val = delta_kappa(OSCILLATOR, x0_sum, 5, 0.01, max_expm_norms(OSCILLATOR.A)[0])
     expected = (1.0 / math.sqrt(5.0)) * np.linalg.norm(x0_sum) * 1.0 * 0.01
     assert val == pytest.approx(expected, rel=1e-6)
 

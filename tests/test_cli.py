@@ -391,6 +391,34 @@ def test_run_warns_when_no_theorem_certifies_the_design(ex_file, tmp_path, capsy
         "budget exceeded: no lag is certified for this configuration"]
 
 
+def test_run_warns_on_a_one_agent_graph(ex_file, tmp_path, capsys):
+    # theorem 3 certifies nothing for a single agent (bound exits 3)
+    doc = ex_file(2, horizon=1.0, **ONE_AGENT)
+    assert run_cli(capsys, "bound", doc, "--theorem", "3")[0] == 3
+    code, out = run_cli(capsys, "run", doc, "--out", str(tmp_path / "out_one"))
+    assert code == 0
+    assert json.loads(out)["warnings"] == [
+        "budget exceeded: no lag is certified for this configuration"]
+
+
+@pytest.mark.parametrize("overrides", [{}, {"consensus_tol": 0.1}],
+                         ids=["no_consensus", "consensus"])
+def test_run_report_is_read_off_its_trace(ex_file, tmp_path, capsys, overrides):
+    doc = ex_file(2, horizon=2.0, seed=1, **overrides)
+    code, out = run_cli(capsys, "run", doc, "--out", str(tmp_path / "out"))
+    assert code == 0
+    report = json.loads(out)
+    with open(doc) as f:
+        trace = run(parse_scenario(json.load(f)))
+    assert report["final_delta_sq"] == float(trace.delta_sq[-1])
+    assert report["consensus_time"] == trace.consensus_time
+    assert report["consensus"] == (trace.consensus_time is not None)
+    assert (trace.consensus_time is None) == (overrides == {})
+    with open(tmp_path / "out" / "trace.csv") as f:
+        last = list(csv.reader(f))[-1]
+    assert float(last[-1]) == report["final_delta_sq"]
+
+
 def test_run_schema_error_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"mode": "broadcast"}))
@@ -474,6 +502,7 @@ def _without_schedule(doc, **overrides):
 TWO_UNITS = {"mode": "abstract_coupled", "coupling": [[1.0, -1.0], [-1.0, 1.0]],
              "x0": [1.0, -1.0]}
 TRIGGER = {"kind": "event_trigger", "omega": 0.05, "dwell": 0.02}
+ONE_AGENT = {"graph": {"path": 1}, "x0": [1.0]}
 
 
 NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
@@ -602,6 +631,11 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
     ("run", _without_schedule(_doc(2), **TWO_UNITS, error_model=TRIGGER, schedules=[
         {"channel_id": ch, "sample_instants": [0.1, 0.2], "delays": [0.0] * 2}
         for ch in range(2)]), 2, "schedule"),
+    # theorem 3 needs a second agent to have a lambda_2; past the float
+    # range, theorem 1's witness overflows
+    ("bound 3", _doc(2, **ONE_AGENT), 3, "two agents"),
+    ("bound 1", {"query": {"mu": 1, "eps": 1e300, "sigma_A": 1e200}}, 2,
+     "floating-point range"),
 ], ids=["negative_design_lambda", "schedule_without_delays", "schedule_and_schedules",
         "seed_not_an_integer", "cycle_size_not_an_integer", "error_model_not_an_object",
         "repeated_sweep_seed",
@@ -628,7 +662,8 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
         "triggered_schedule_gap_below_dwell", "lyapunov_P_not_square",
         "lyapunov_P_with_design", "theorem4_without_schedule", "theorem4_bad_schedules",
         "theorem4_multiplicative_error", "theorem4_log_quantizer", "theorem4_uncapped_trigger",
-        "monitored_trigger_with_schedule", "monitored_trigger_with_schedules"])
+        "monitored_trigger_with_schedule", "monitored_trigger_with_schedules",
+        "theorem3_one_agent", "theorem1_overflow"])
 def test_exit_codes(tmp_path, capsys, command, doc, code, names):
     path, out_dir = tmp_path / "doc.json", tmp_path / "out"
     path.write_text(json.dumps(doc))

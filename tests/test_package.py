@@ -36,6 +36,8 @@ print(json.dumps({"code": code, "scipy": "scipy" in sys.modules}))
     pytest.param(["bound", "{doc}", "--theorem", "4"], 3, False, id="ex3-bound-4"),
     pytest.param(["design", "{doc}"], 3, False, id="ex3-design"),
     pytest.param(["run", "{doc}", "--out", "{out}"], 3, False, id="ex3-run"),
+    pytest.param(["reproduce", "--example", "2"], None, False, id="reproduce-ex2"),
+    pytest.param(["reproduce", "--example", "3"], None, False, id="reproduce-ex3"),
     # example 1's oscillator has two states: its design needs scipy's solver
     pytest.param(["bound", "{doc}", "--theorem", "c1"], 1, True, id="ex1-bound-c1"),
 ])
