@@ -61,10 +61,14 @@ class BoundQuery:
     tau_in: float = 0.0
 
     def __post_init__(self):
+        # the budget search takes c >= 0 and omega >= 0; NaN fails each check
+        values = asdict(self)
+        if not all(math.isfinite(v) for v in values.values()):
+            raise ValueError("every query value must be finite")
         if not (self.mu > 0 and self.eps > 0):
             raise ValueError("mu and eps must be positive")
-        if min(self.omega, self.h, self.tau, self.tau_in) < 0:
-            raise ValueError("omega, h, tau, tau_in must be nonnegative")
+        if min(v for k, v in values.items() if k != "lambda_As") < 0:
+            raise ValueError("every query value but lambda_As must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -294,9 +298,12 @@ def theorem2_budget(model: LtiModel, design: GainDesign, algebra: GraphAlgebra,
                           gamma=gamma_star, extra_details=details)
 
 
-def theorem3_budget(algebra: GraphAlgebra) -> BoundReport:
-    """Maximum h + tau for single-integrator broadcast consensus with unit
-    gain; closed-form inner optimum over gamma."""
+def theorem3_budget(algebra: GraphAlgebra, gain: float = 1.0) -> BoundReport:
+    """Maximum h + tau for single-integrator broadcast consensus with gain
+    BK = gain > 0: x' = -k L x_hat is the unit-gain system in time k t, so
+    the unit-gain budget and synchronous constant are divided by k."""
+    if not (gain > 0 and math.isfinite(gain)):
+        raise InfeasibleError(f"theorem 3 needs a positive finite gain, not {gain!r}")
     if algebra.graph.n < 2:
         raise InfeasibleError("theorem 3 needs at least two agents")
     if not is_connected(algebra.graph):
@@ -305,16 +312,19 @@ def theorem3_budget(algebra: GraphAlgebra) -> BoundReport:
     sigma = max(2.0 * lam2, lam_n - 2.0 * lam2)
     sup, gamma_star, any_period = _gamma_sup(lam2, sigma / 2.0, lam_n - lam2)
     # sup is infinite, and so is the budget, when any period is certified
-    budget = math.sqrt(3.0 / (7.0 * lam_n**2) * sup)
+    budget = math.sqrt(3.0 / (7.0 * lam_n**2) * sup) / gain
+    sync = 2.0 / lam_n / gain
+    if math.isinf(sync) or math.isinf(budget) != any_period:     # a gain near 0
+        raise ValueError(f"theorem 3's budget at gain {gain!r} is beyond the float range")
     details = {"sigma": sigma, "gamma_star": gamma_star, "objective": sup,
-               "synchronous_necessary_sufficient": 2.0 / lam_n}
+               "synchronous_necessary_sufficient": sync}
     return BoundReport(
         feasible=True, margin=sup, budget=budget,
         witness=SearchParams(alpha=1.0, beta=1.0, gamma=gamma_star),
         unbounded=any_period, details=details,
         diagnostics=f"single-integrator budget {budget:.6g} "
                     f"(gamma* = {gamma_star:.6g}, objective = {sup:.6g}); "
-                    f"synchronous comparison constant 2/lambda_n = {2.0 / lam_n:.6g}")
+                    f"synchronous comparison constant 2/lambda_n = {sync:.6g}")
 
 
 def marginally_stable(A) -> bool:

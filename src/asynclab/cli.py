@@ -125,6 +125,20 @@ def _h_tau(doc):
             max(float(np.max(sc.delays, initial=0.0)) for sc in explicit))
 
 
+def _integrator_gain(doc, s=None) -> float:
+    """k = BK of theorem 3's single integrators, from the scenario s or else the
+    document's gain or design section; 1.0 for a document without a model."""
+    model = s.model if s is not None else scenarios.read(doc, "model")
+    if model is None:
+        return 1.0
+    if model.N != 1 or model.A[0, 0] != 0.0:
+        raise scenarios.ScenarioFormatError("theorem 3 needs single-integrator agents")
+    K = s.gain if s is not None else scenarios.read(doc, "gain", shape=(model.M, model.N))
+    if K is None:
+        K = riccati_design(model, *scenarios.read(doc, "design", required=True)).K
+    return float((model.B @ K)[0, 0])
+
+
 def _theorem4(doc, s, h=None, tau=None, delta_e=None, **params):
     """Theorem 4's report. The keywords are the keys of the 'bound_params'
     section; h and tau default to the document's schedules (_h_tau), and
@@ -157,7 +171,7 @@ def _bound(doc, theorem, s=None) -> dict:
         return _theorem4(doc, s, **(scenarios.read(doc, "bound_params") or {}))
     if theorem == "3":
         graph = scenarios.read(doc, "graph", required=True)
-        report = bounds.theorem3_budget(build_algebra(graph))
+        report = bounds.theorem3_budget(build_algebra(graph), gain=_integrator_gain(doc, s))
     elif theorem == "2":
         # omega bounds a multiplicative error, and is 0 under any other model
         em = scenarios.read(doc, "error_model")
@@ -190,12 +204,12 @@ def _budget_warning(doc, s):
     """Best-effort comparison of the scenario's lag against a certified
     budget; returns a warning string or None."""
     lags = _h_tau(doc)
-    if lags is None or s.graph is None:
+    if lags is None:
         return None
     lag = sum(lags) + s.input_delay
     if s.mode == "relative_edges" and scenarios.read(doc, "design") is not None:
         theorem = "c1" if s.error_model.kind == "log_quantizer" else "2"
-    elif s.mode == "broadcast" and s.model.N == 1 and s.model.A[0, 0] == 0.0:
+    elif s.mode == "broadcast":
         theorem = "3"
     else:
         return None
@@ -204,14 +218,8 @@ def _budget_warning(doc, s):
         budget = report["budget"] if report["feasible"] else None
     except InfeasibleError:     # the theorem certifies nothing for this design
         budget = None
-    except ValueError:
+    except ValueError:      # no theorem applies, as to non-integrator broadcasts
         return None
-    if theorem == "3" and budget is not None:
-        # Theorem 3 certifies unit gain. x' = -k L x_hat is the unit-gain
-        # system in time k t, so gain k = BK > 0 divides the budget by k;
-        # no lag is certified for k <= 0.
-        k = float((s.model.B @ s.gain)[0, 0])
-        budget = budget / k if k > 0 else None
     if budget is None:
         return "budget exceeded: no lag is certified for this configuration"
     if lag > budget:
@@ -272,9 +280,12 @@ def _run_report(trace, runtime, warning, outdir, tag):
 def cmd_run(args):
     doc = scenarios.load_document(args.file)
     s = scenarios.parse_scenario(doc)
-    if args.seed is not None:
-        s = replace(s, seed=args.seed)
     sweep = scenarios.read(doc, "sweep")
+    if args.seed is not None:
+        if sweep is not None:
+            raise scenarios.ScenarioFormatError(
+                "--seed does not combine with a sweep section, which names the seeds")
+        s = replace(s, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     # Budgets do not depend on the seed: one verdict serves every run.
     warning = _budget_warning(doc, s)

@@ -211,7 +211,6 @@ class Trace:
     states: np.ndarray                 # (len, units * N)
     delta_sq: np.ndarray
     lyapunov: np.ndarray | None
-    delta_tilde_sq: np.ndarray | None
     events: list                       # (time, channel, kind)
     drive_changes: list                # (time, drive matrix snapshot)
     consensus_time: float | None = None
@@ -322,9 +321,6 @@ class _Engine:
         self.t = 0.0
         self.events = []
         self.drive_changes = [(0.0, self.drive)]
-        self.track_tilde = s.mode == "broadcast"
-        # broadcasts as delivered: (time, channel, sampled value, sampling time)
-        self.deliveries = []
         # preallocated trace columns: rows[:n_rows] hold (t, X), and
         # rows[:n_settled] also delta_sq
         self.n_rows = self.n_settled = 0
@@ -449,22 +445,8 @@ class _Engine:
         the logs after it."""
         self.consensus_time = tc = float(self.row_t[r])
         self.n_rows = self.n_settled = r + 1
-        for log in (self.events, self.drive_changes, self.deliveries):
+        for log in (self.events, self.drive_changes):
             del log[bisect_right(log, tc, key=itemgetter(0)):]
-
-    def _tilde_column(self, t):
-        """delta_tilde_sq at row times t; the held disagreements change only
-        at deliveries, each to the sampled value minus kappa at sampling."""
-        tilde = self.s.x0.reshape(self.units, -1) - self.kappa0
-        levels = [float((tilde ** 2).sum())]
-        for sl in _chunks(len(self.deliveries)):
-            due = self.deliveries[sl]
-            kappa = self.prop.exps([d[3] for d in due]) @ self.kappa0
-            for (_, ch, value, _), k in zip(due, kappa):
-                tilde[ch] = value - k
-                levels.append(float((tilde ** 2).sum()))
-        return np.take(levels, np.searchsorted([d[0] for d in self.deliveries], t,
-                                               side="right"))
 
     def _lyapunov_column(self, X):
         """V = 1/2 sum over edges of z^T P z, z the relative states."""
@@ -481,7 +463,6 @@ class _Engine:
         relative = self.s.mode == "relative_edges" and self.s.lyapunov_P is not None
         return Trace(scenario=self.s, t=t, states=X.reshape(n, -1), delta_sq=dsq,
                      lyapunov=self._lyapunov_column(X) if relative else None,
-                     delta_tilde_sq=self._tilde_column(t) if self.track_tilde else None,
                      events=self.events, drive_changes=self.drive_changes,
                      consensus_time=self.consensus_time)
 
@@ -575,7 +556,7 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
     first event at its time that is not a skipped delivery."""
     em = eng.s.error_model
     triggered = em.kind == "event_trigger"
-    queue = [deque() for _ in range(eng.channels)]   # (k, measured, sampled, time)
+    queue = [deque() for _ in range(eng.channels)]   # (k, measured)
     last_sent = [None] * eng.channels
 
     def fire(ch, value):
@@ -589,7 +570,6 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
 
     ends, measure, set_hold = eng.ends, eng.measure, eng.set_hold
     events = eng.events
-    deliveries = eng.deliveries if eng.track_tilde else None
     row_t, row_x = eng.row_t, eng.row_x      # sized for every row of the run
     X, t, r = eng.X, eng.t, eng.n_rows - 1
     if eng.s.startup == "first_sample":
@@ -612,11 +592,9 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
                     q = queue[ch]
                     if not q or q[0][0] != order >> 1:
                         continue        # its sample did not fire: no row
-                    _, value, sampled, t_sampled = q.popleft()
+                    _, value = q.popleft()
                     eng.t = te          # the time set_hold logs the drive at
                     drive = set_hold(ch, value)
-                    if deliveries is not None:
-                        deliveries.append((te, ch, sampled, t_sampled))
                     events.append((te, ch, "deliver"))
                 elif ch >= 0:
                     if ends is None:
@@ -625,7 +603,7 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
                         head, tail = ends[ch]
                         value = X[head] - X[tail]
                     if not triggered or fire(ch, value):
-                        queue[ch].append((order >> 1, measure(ch, value), value, te))
+                        queue[ch].append((order >> 1, measure(ch, value)))
                         if triggered:
                             events.append((te, ch, "update"))
                     events.append((te, ch, "sample"))

@@ -303,6 +303,24 @@ def test_theorem3_budget_golden_cycle5():
         0.5527864, abs=1e-5)
 
 
+@pytest.mark.parametrize("gain", [2.0, 5.0, 0.25])
+def test_theorem3_gain_rescales_time(gain):
+    # x' = -k L x_hat is the unit-gain system in time k t: the budget and
+    # the synchronous constant divide by k, and the rest stays
+    unit, scaled = theorem3_budget(ALG5), theorem3_budget(ALG5, gain=gain)
+    assert scaled.budget == unit.budget / gain
+    assert (scaled.details["synchronous_necessary_sufficient"]
+            == unit.details["synchronous_necessary_sufficient"] / gain)
+    assert scaled.margin == unit.margin
+    assert scaled.details["objective"] == unit.details["objective"]
+
+
+@pytest.mark.parametrize("gain", [0.0, -1.0, math.inf, math.nan])
+def test_theorem3_refuses_a_gain_that_is_not_positive_and_finite(gain):
+    with pytest.raises(InfeasibleError, match="gain"):
+        theorem3_budget(ALG5, gain=gain)
+
+
 def test_theorem3_k2_formula_and_scan_oracle():
     # K2: lambda_2 = lambda_n = 2, sigma = max{4, -2} = 4, and the
     # objective is (2 - 2/g)/(2g) with optimum 1/4 at g = 2.
@@ -492,11 +510,19 @@ def test_theorem5_residual_budget():
     assert not theorem5_budget(q_big).feasible
 
 
+@pytest.mark.parametrize("bad", [{"mu": 0.0}, {"eps": -1.0}, {"omega": -0.1},
+                                 {"sigma_A": -5.0}, {"sigma_G": -1.0}, {"sigma_K": -1.0},
+                                 {"h": -0.1}, {"tau_in": -0.1}, {"omega": math.nan},
+                                 {"lambda_As": math.nan}, {"sigma_A": math.inf},
+                                 {"lambda_As": -math.inf}])
+def test_bound_query_rejects(bad):
+    # the budget search takes nonnegative, finite constants; a negative
+    # singular value was certified unbounded, and a NaN omega feasible
+    with pytest.raises(ValueError):
+        BoundQuery(**{"mu": 1.0, "eps": 1.0, **bad})
+
+
 def test_bound_query_validation():
-    with pytest.raises(ValueError):
-        BoundQuery(mu=0.0, eps=1.0)
-    with pytest.raises(ValueError):
-        BoundQuery(mu=1.0, eps=1.0, omega=-0.1)
     with pytest.raises(ValueError):
         SearchParams(alpha=0.0, beta=1.0)
     with pytest.raises(ValueError):

@@ -329,6 +329,41 @@ def test_run_gain_scales_the_theorem3_budget(ex_file, tmp_path, capsys):
         "budget exceeded: total lag 0.069 is above the certified budget 0.0138227"]
 
 
+@pytest.mark.parametrize("gain", [1.0, 2.0, 5.0, -1.0])
+def test_bound_theorem3_and_run_agree_on_the_gain(ex_file, tmp_path, capsys, gain):
+    # a lag of 0.15, above theorem 3's budget at each of these gains
+    doc = ex_file(2, horizon=1.0, gain=[[gain]],
+                  schedule={"h_min": 0.05, "h_max": 0.1, "tau_max": 0.05})
+    code, out = run_cli(capsys, "bound", doc, "--theorem", "3")
+    bound = _strict_loads(out)
+    code_run, out_run = run_cli(capsys, "run", doc, "--out", str(tmp_path / "out"))
+    assert code_run == 0
+    if gain > 0:
+        assert code == 0
+        assert bound["budget"] == 0.06911362693885727 / gain
+        assert _strict_loads(out_run)["warnings"] == [
+            "budget exceeded: total lag 0.15 is above the certified budget "
+            f"{bound['budget']:.6g}"]
+    else:
+        assert code == 3
+        assert "gain" in bound["error"]
+        assert _strict_loads(out_run)["warnings"] == [
+            "budget exceeded: no lag is certified for this configuration"]
+
+
+def test_broadcast_of_oscillators_has_no_theorem3_budget(ex_file, tmp_path, capsys):
+    # theorem 3 certifies single integrators only: bound refuses the
+    # document, and run, with no theorem to compare against, does not warn
+    doc = ex_file(2, horizon=1.0, model={"A": [[0.0, 1.0], [-1.0, 0.0]], "B": [[0.0], [1.0]]},
+                  gain=[[0.5, 1.0]], x0=[1.0, 0.0, -0.5, 0.2, 0.5, -0.3, -1.0, 0.1, 0.0, 0.4])
+    code, out = run_cli(capsys, "bound", doc, "--theorem", "3")
+    assert code == 2
+    assert "single-integrator" in _strict_loads(out)["error"]
+    code, out = run_cli(capsys, "run", doc, "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert _strict_loads(out)["warnings"] == []
+
+
 def test_run_warns_on_explicit_schedules_above_the_budget(ex_file, tmp_path, capsys):
     # example 3's own schedules with the sample instants 8 times as far
     # apart: a lag of 0.2 + 0.02, above theorem 3's budget
@@ -636,6 +671,13 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
     ("bound 3", _doc(2, **ONE_AGENT), 3, "two agents"),
     ("bound 1", {"query": {"mu": 1, "eps": 1e300, "sigma_A": 1e200}}, 2,
      "floating-point range"),
+    # theorem 3 certifies single integrators only; a negative singular value
+    # is bad input, not an unbounded budget; a sweep names its own seeds
+    ("bound 3", _doc(1), 2, "single-integrator"),
+    ("bound 3", _doc(2, gain=[[1e-310]]), 2, "beyond the float range"),
+    ("bound 1", {"query": {"mu": 1, "eps": 1, "omega": 0.01, "sigma_A": -5,
+                           "sigma_G": 1, "sigma_K": 1}}, 2, "bad query section"),
+    ("run --seed=7", _doc(2, sweep={"seeds": [1, 2]}), 2, "--seed does not combine with a sweep"),
 ], ids=["negative_design_lambda", "schedule_without_delays", "schedule_and_schedules",
         "seed_not_an_integer", "cycle_size_not_an_integer", "error_model_not_an_object",
         "repeated_sweep_seed",
@@ -663,7 +705,8 @@ NO_B = {"A": [[0.0, 1.0], [-1.0, 0.0]]}
         "lyapunov_P_with_design", "theorem4_without_schedule", "theorem4_bad_schedules",
         "theorem4_multiplicative_error", "theorem4_log_quantizer", "theorem4_uncapped_trigger",
         "monitored_trigger_with_schedule", "monitored_trigger_with_schedules",
-        "theorem3_one_agent", "theorem1_overflow"])
+        "theorem3_one_agent", "theorem1_overflow", "theorem3_oscillators",
+        "theorem3_subnormal_gain", "negative_sigma_A", "seed_flag_with_sweep"])
 def test_exit_codes(tmp_path, capsys, command, doc, code, names):
     path, out_dir = tmp_path / "doc.json", tmp_path / "out"
     path.write_text(json.dumps(doc))

@@ -82,6 +82,30 @@ def average_state_error(trace) -> float:
     return worst
 
 
+def _delta_tilde_reference(tr):
+    """Theorem 4's broadcast error delta_tilde^2 at each row, from the trace
+    alone: each agent holds the disagreement of its last delivered
+    broadcast, the state it sent minus kappa at that time, and its initial
+    disagreement before any arrives."""
+    s = tr.scenario
+    X = tr.states.reshape(len(tr.t), s.n_units, s.model.N)
+    row = {t: k for k, t in enumerate(tr.t.tolist())}
+    kappa0 = X[0].mean(axis=0)
+    sent = "update" if s.error_model.kind == "event_trigger" else "sample"
+    held, pending, levels = X[0] - kappa0, [deque() for _ in range(s.n_units)], []
+    events = deque(tr.events)
+    for tk in tr.t.tolist():
+        while events and events[0][0] <= tk:
+            t, ch, kind = events.popleft()
+            if kind == sent:
+                pending[ch].append(t)
+            elif kind == "deliver":
+                ts = pending[ch].popleft()
+                held[ch] = X[row[ts], ch] - sla.expm(s.model.A * ts) @ kappa0
+        levels.append(float((held ** 2).sum()))
+    return np.array(levels)
+
+
 def random_scenario(rng):
     n = int(rng.integers(1, 5))
     N = int(rng.integers(1, 4))
@@ -155,7 +179,7 @@ def _example_digests(horizon):
         doc["horizon"] = horizon
         tr = run(parse_scenario(doc))
         h = hashlib.sha256(repr(tr.events).encode())
-        for column in (tr.t, tr.states, tr.delta_sq, tr.lyapunov, tr.delta_tilde_sq):
+        for column in (tr.t, tr.states, tr.delta_sq, tr.lyapunov):
             if column is not None:
                 h.update(column.tobytes())
         for _, drive in tr.drive_changes:
@@ -356,9 +380,8 @@ def test_broadcast_trigger_tracks_delta_tilde():
                  error_model=ErrorModel.event_trigger(0.09, dwell=0.025,
                                                       cap=0.08))
     tr = run(s)
-    assert tr.delta_tilde_sq is not None
     # the last second of the broadcast error stays inside theorem 4's bound
-    assert tr.delta_tilde_sq[tr.t >= tr.t[-1] - 1.0].min() < 0.4535
+    assert _delta_tilde_reference(tr)[tr.t >= tr.t[-1] - 1.0].min() < 0.4535
     assert average_state_error(tr) < 1e-9
 
 
@@ -643,46 +666,6 @@ def test_event_budget_admits_a_run_that_fits_exactly(monkeypatch):
         run(s)
 
 
-def _delta_tilde_reference(tr):
-    """delta_tilde_sq row by row from the trace alone: each agent holds the
-    disagreement of its last delivered broadcast, the state it sent minus
-    kappa at that time, and its initial disagreement before any arrives."""
-    s = tr.scenario
-    X = tr.states.reshape(len(tr.t), s.n_units, s.model.N)
-    row = {t: k for k, t in enumerate(tr.t.tolist())}
-    kappa0 = X[0].mean(axis=0)
-    sent = "update" if s.error_model.kind == "event_trigger" else "sample"
-    held, pending, levels = X[0] - kappa0, [deque() for _ in range(s.n_units)], []
-    events = deque(tr.events)
-    for tk in tr.t.tolist():
-        while events and events[0][0] <= tk:
-            t, ch, kind = events.popleft()
-            if kind == sent:
-                pending[ch].append(t)
-            elif kind == "deliver":
-                ts = pending[ch].popleft()
-                held[ch] = X[row[ts], ch] - sla.expm(s.model.A * ts) @ kappa0
-        levels.append(float((held ** 2).sum()))
-    return np.array(levels)
-
-
-@pytest.mark.parametrize("example, chunk", [(2, None), (3, 97)], ids=["ex2", "ex3"])
-def test_delta_tilde_column_matches_per_row_reference(monkeypatch, example, chunk):
-    # Both examples are integrators (A = 0), so kappa is kappa0 exactly and
-    # the reference must give the engine's bits. Example 3 hovers and stops
-    # early, so it runs in smaller chunks.
-    if chunk is not None:
-        monkeypatch.setattr(sim, "FLOW_CHUNK", chunk)
-    s = _example(example, 40.0)
-    full = run(s)
-    tol = 1e-16 if example == 2 else float(np.quantile(full.delta_sq, 0.2))
-    cut = run(replace(s, stop_at_consensus=True, consensus_tol=tol))
-    assert cut.consensus_time is not None and len(cut.t) > sim.FLOW_CHUNK
-    for tr in (full, cut):
-        assert np.array_equal(tr.delta_tilde_sq, _delta_tilde_reference(tr))
-    assert np.array_equal(cut.delta_tilde_sq, full.delta_tilde_sq[:len(cut.t)])
-
-
 def _drive_reference(tr):
     """Every drive of the run, recomputed from the trace alone at each hold
     it sets: a delivery holds its channel's value at the sampling instant,
@@ -845,8 +828,8 @@ def test_delta_sq_follows_the_closed_form_mean():
                                [[0.0, 1.0], [0.0, 0.0]]],
                          ids=["oscillator", "integrator", "diagonalizable", "defective"])
 def test_exps_are_the_exponentials_of_pairs(A):
-    # settle, the delta_tilde column and average_state_error take kappa(t)
-    # from exps; it must give the bits that pairs gave them.
+    # settle and average_state_error take kappa(t) from exps; it must give
+    # the bits that pairs gave them.
     prop = sim.Propagator(A)
     ts = np.concatenate([np.linspace(0.0, 40.0, 997), [1e-12, 5e-9, -0.25]])
     assert np.array_equal(prop.exps(ts), prop.pairs(ts)[0])
