@@ -318,13 +318,14 @@ def theorem3_budget(algebra: GraphAlgebra, gain: float = 1.0) -> BoundReport:
         raise ValueError(f"theorem 3's budget at gain {gain!r} is beyond the float range")
     details = {"sigma": sigma, "gamma_star": gamma_star, "objective": sup,
                "synchronous_necessary_sufficient": sync}
+    sync_label = "2/lambda_n" if gain == 1.0 else "2/(k lambda_n)"
     return BoundReport(
         feasible=True, margin=sup, budget=budget,
         witness=SearchParams(alpha=1.0, beta=1.0, gamma=gamma_star),
         unbounded=any_period, details=details,
         diagnostics=f"single-integrator budget {budget:.6g} "
                     f"(gamma* = {gamma_star:.6g}, objective = {sup:.6g}); "
-                    f"synchronous comparison constant 2/lambda_n = {sync:.6g}")
+                    f"synchronous comparison constant {sync_label} = {sync:.6g}")
 
 
 def marginally_stable(A) -> bool:

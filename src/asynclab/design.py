@@ -38,11 +38,9 @@ def riccati_design(model: LtiModel, lam: float, mu: float) -> GainDesign:
 
     A scalar state (N = 1) makes the equation the quadratic
     2 a p - 2 lam |b|^2 p^2 + 2 mu = 0, whose positive root has a closed
-    form (_scalar_riccati). Otherwise the equation maps onto the standard
-    CARE with Q = 2 mu I and R = I / (2 lam), which scipy solves via the
-    Hamiltonian / ordered-Schur invariant-subspace method; scipy is
-    imported only then. Both solutions pass the same residual and
-    positive-definiteness checks.
+    form (_scalar_riccati). Otherwise P comes from the stable invariant
+    subspace of the Hamiltonian matrix (_hamiltonian_riccati). Both
+    solutions pass the same residual and positive-definiteness checks.
     """
     if lam <= 0 or mu <= 0:
         raise DesignError("lambda and mu must be positive")
@@ -51,17 +49,7 @@ def riccati_design(model: LtiModel, lam: float, mu: float) -> GainDesign:
     if N == 1:
         P = _scalar_riccati(float(A[0, 0]), float((B @ B.T)[0, 0]), lam, mu)
     else:
-        import scipy.linalg
-        # a bad solution is refused by the checks below, so numpy stays
-        # quiet about the floating-point errors that led to it
-        try:
-            with np.errstate(all="ignore"):
-                P = scipy.linalg.solve_continuous_are(
-                    A, B, 2.0 * mu * np.eye(N), np.eye(model.M) / (2.0 * lam)
-                )
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise DesignError(f"Riccati solver failed: {exc}") from exc
-        P = (P + P.T) / 2.0
+        P = _hamiltonian_riccati(A, B, lam, mu)
     # The residual against the size of the equation's terms, in the largest
     # absolute entry, which neither underflows nor lets a NaN pass.
     PA, PBBtP = P @ A, P @ B @ B.T @ P
@@ -89,6 +77,38 @@ def _scalar_riccati(a: float, bb: float, lam: float, mu: float) -> np.ndarray:
     if not (math.isfinite(p) and p > 0):
         raise DesignError(f"Riccati solution is not positive and finite: {p!r}")
     return np.array([[p]])
+
+
+def _hamiltonian_riccati(A: np.ndarray, B: np.ndarray, lam: float,
+                         mu: float) -> np.ndarray:
+    """Potter's eigenvector solution: the N eigenvectors [U1; U2] of
+    H = [[A, -2 lam B B^T], [-2 mu I, -A^T]] whose eigenvalues lie in the
+    open left half-plane span the graph of the stabilizing P = U2 U1^-1.
+    H's eigenvalues are symmetric about the imaginary axis, so any other
+    count of stable ones means some lie on the axis: an unstabilizable
+    pair. A singular U1 (or one whose P is not finite) means the same."""
+    N = A.shape[0]
+    unstabilizable = ("Riccati equation has no stabilizing solution: "
+                      "(A, B) is not stabilizable")
+    # a bad solution is refused by riccati_design's checks, so numpy stays
+    # quiet about the floating-point errors that led to it
+    with np.errstate(all="ignore"):
+        H = np.block([[A, -2.0 * lam * (B @ B.T)], [-2.0 * mu * np.eye(N), -A.T]])
+        try:
+            w, V = np.linalg.eig(H)
+        except np.linalg.LinAlgError as exc:
+            raise DesignError(f"Riccati solver failed: {exc}") from exc
+        stable = w.real < 0
+        if np.count_nonzero(stable) != N:
+            raise DesignError(unstabilizable)
+        try:
+            # P U1 = U2, solved as U1^T P^T = U2^T
+            P = np.linalg.solve(V[:N, stable].T, V[N:, stable].T).T.real
+        except np.linalg.LinAlgError as exc:
+            raise DesignError(unstabilizable) from exc
+    if not np.isfinite(P).all():
+        raise DesignError(unstabilizable)
+    return (P + P.T) / 2.0
 
 
 def riccati_residual(design: GainDesign, model: LtiModel) -> float:

@@ -315,6 +315,16 @@ def test_theorem3_gain_rescales_time(gain):
     assert scaled.details["objective"] == unit.details["objective"]
 
 
+def test_theorem3_diagnostics_name_the_gain():
+    # unit gain keeps its label; any other k labels the constant it divides
+    assert theorem3_budget(ALG5).diagnostics == (
+        "single-integrator budget 0.0691136 (gamma* = 2.61803, objective = 0.145898); "
+        "synchronous comparison constant 2/lambda_n = 0.552786")
+    assert theorem3_budget(ALG5, gain=5.0).diagnostics == (
+        "single-integrator budget 0.0138227 (gamma* = 2.61803, objective = 0.145898); "
+        "synchronous comparison constant 2/(k lambda_n) = 0.110557")
+
+
 @pytest.mark.parametrize("gain", [0.0, -1.0, math.inf, math.nan])
 def test_theorem3_refuses_a_gain_that_is_not_positive_and_finite(gain):
     with pytest.raises(InfeasibleError, match="gain"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from asynclab import design
 from asynclab.design import (DesignError, design_constants, riccati_design,
                              riccati_residual, theorem4_sigma,
                              verify_lyapunov_family)
@@ -111,15 +112,65 @@ def test_scalar_design_edge_cases():
                 riccati_design(LtiModel(A=[[a]], B=[[b]]), lam=np.inf, mu=1.0)
 
 
-def test_riccati_refuses_a_residual_lost_to_underflow():
-    # With lam = mu = 1e-300 the answer is P = I. scipy returns ~2.8e-209 I
-    # for two states, whose 2e-300 residual has an underflowing Frobenius
-    # norm; measured against the size of the equation's terms it is refused.
-    with pytest.raises(DesignError, match="residual"):
-        riccati_design(LtiModel(A=np.zeros((2, 2)), B=np.eye(2)), lam=1e-300, mu=1e-300)
-    # The closed form of the scalar equation has no such loss.
+def test_riccati_refuses_a_residual_lost_to_underflow(monkeypatch):
+    # With lam = mu = 1e-300 the answer is P = I, which both solvers find.
+    model = LtiModel(A=np.zeros((2, 2)), B=np.eye(2))
+    d = riccati_design(model, lam=1e-300, mu=1e-300)
+    assert np.array_equal(d.P, np.eye(2)) and np.array_equal(d.K, np.eye(2))
     d = riccati_design(INTEGRATOR, lam=1e-300, mu=1e-300)
     assert d.P[0, 0] == 1.0 and d.K[0, 0] == 1.0
+    # scipy's Schur solver returns ~2.8e-209 I for the two-state equation,
+    # whose 2e-300 residual has an underflowing Frobenius norm; measured
+    # against the size of the equation's terms it is refused.
+    monkeypatch.setattr(design, "_hamiltonian_riccati",
+                        lambda *args: 2.8e-209 * np.eye(2))
+    with pytest.raises(DesignError, match="residual"):
+        riccati_design(model, lam=1e-300, mu=1e-300)
+
+
+def _matrix_draws(seed, count):
+    """count well-scaled models with N of 2-8 states and M of 1-N inputs:
+    A's scale and lam and mu are log-uniform over 10^(+-1)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, n + 1))
+        A = 10.0 ** rng.uniform(-1.0, 1.0) * rng.normal(size=(n, n))
+        lam, mu = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+        yield LtiModel(A=A, B=rng.normal(size=(n, m))), float(lam), float(mu)
+
+
+def test_hamiltonian_design_matches_scipy(monkeypatch):
+    # The eigenvector solution and scipy's Schur solution both pass
+    # riccati_design's residual check, and their gains agree to 1e-7
+    # relative (the worst of these draws is ~1e-10).
+    draws = list(_matrix_draws(3, 300))
+    gains = [riccati_design(model, lam, mu).K for model, lam, mu in draws]
+
+    def schur(A, B, lam, mu):
+        P = scipy.linalg.solve_continuous_are(
+            A, B, 2.0 * mu * np.eye(len(A)), np.eye(B.shape[1]) / (2.0 * lam))
+        return (P + P.T) / 2.0
+
+    monkeypatch.setattr(design, "_hamiltonian_riccati", schur)
+    for (model, lam, mu), K in zip(draws, gains):
+        ref = riccati_design(model, lam, mu).K
+        assert np.abs(K - ref).max() <= 1e-7 * np.abs(ref).max(), (model, lam, mu)
+
+
+def test_unstabilizable_pair_is_refused():
+    # A = I with only the first state actuated: the second state's unstable
+    # mode cannot be moved, so no stabilizing P exists.
+    with pytest.raises(DesignError, match="stabiliz"):
+        riccati_design(LtiModel(A=np.eye(2), B=[[1.0], [0.0]]), lam=1.0, mu=1.0)
+    # an unstable uncontrolled mode beside a stable one is refused too
+    with pytest.raises(DesignError, match="stabiliz"):
+        riccati_design(LtiModel(A=np.diag([-1.0, 1.0]), B=[[1.0], [0.0]]),
+                       lam=1.0, mu=1.0)
+    # an oscillator without input at lam = mu = 1e300: its eigenvectors give
+    # no finite P, refused without a floating-point warning
+    with pytest.raises(DesignError, match="stabiliz"):
+        riccati_design(LtiModel(A=OSCILLATOR.A, B=[[0.0], [0.0]]), lam=1e300, mu=1e300)
 
 
 def test_lyapunov_family_over_spectrum():

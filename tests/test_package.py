@@ -8,6 +8,7 @@ import pytest
 
 import asynclab
 from asynclab.scenarios import builtin_example
+from test_cli import FEASIBLE_OSCILLATOR
 
 
 def test_version_matches_pyproject():
@@ -30,21 +31,30 @@ print(json.dumps({"code": code, "scipy": "scipy" in sys.modules}))
 """
 
 
-@pytest.mark.parametrize("argv, example, loads_scipy", [
-    pytest.param([], None, False, id="import"),
-    pytest.param(["bound", "{doc}", "--theorem", "3"], 2, False, id="ex2-bound-3"),
-    pytest.param(["bound", "{doc}", "--theorem", "4"], 3, False, id="ex3-bound-4"),
-    pytest.param(["design", "{doc}"], 3, False, id="ex3-design"),
-    pytest.param(["run", "{doc}", "--out", "{out}"], 3, False, id="ex3-run"),
-    pytest.param(["reproduce", "--example", "2"], None, False, id="reproduce-ex2"),
-    pytest.param(["reproduce", "--example", "3"], None, False, id="reproduce-ex3"),
-    # example 1's oscillator has two states: its design needs scipy's solver
-    pytest.param(["bound", "{doc}", "--theorem", "c1"], 1, True, id="ex1-bound-c1"),
+@pytest.mark.parametrize("argv, example, bound_params, loads_scipy", [
+    pytest.param([], None, None, False, id="import"),
+    pytest.param(["bound", "{doc}", "--theorem", "3"], 2, None, False, id="ex2-bound-3"),
+    pytest.param(["bound", "{doc}", "--theorem", "4"], 3, None, False, id="ex3-bound-4"),
+    pytest.param(["design", "{doc}"], 3, None, False, id="ex3-design"),
+    pytest.param(["run", "{doc}", "--out", "{out}"], 3, None, False, id="ex3-run"),
+    pytest.param(["reproduce", "--example", "2"], None, None, False, id="reproduce-ex2"),
+    pytest.param(["reproduce", "--example", "3"], None, None, False, id="reproduce-ex3"),
+    # example 1's oscillator has two states, solved without scipy too
+    pytest.param(["bound", "{doc}", "--theorem", "2"], 1, None, False, id="ex1-bound-2"),
+    pytest.param(["bound", "{doc}", "--theorem", "c1"], 1, None, False, id="ex1-bound-c1"),
+    pytest.param(["design", "{doc}"], 1, None, False, id="ex1-design"),
+    pytest.param(["reproduce", "--example", "1"], None, None, False, id="reproduce-ex1"),
+    # theorem 4 scans the norms of e^{As} for the oscillator's non-diagonal A
+    pytest.param(["bound", "{doc}", "--theorem", "4"], 1, FEASIBLE_OSCILLATOR, True,
+                 id="ex1-bound-4"),
 ])
-def test_scipy_is_imported_only_where_it_is_used(tmp_path, argv, example, loads_scipy):
+def test_scipy_is_imported_only_where_it_is_used(tmp_path, argv, example, bound_params,
+                                                 loads_scipy):
     if example is not None:
         doc, _ = builtin_example(example)
         doc["horizon"] = 2.0
+        if bound_params is not None:
+            doc["bound_params"] = bound_params
         (tmp_path / "doc.json").write_text(json.dumps(doc))
     argv = [a.format(doc=tmp_path / "doc.json", out=tmp_path / "out") for a in argv]
     src = str(Path(asynclab.__file__).resolve().parents[1])
