@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import pickle
 import sys
 import time
 from dataclasses import replace
@@ -249,23 +250,72 @@ def write_trace_csv(trace, path):
 
 def write_event_log(trace, path):
     """JSON list of the events as {"t", "channel", "kind"} objects, encoded
-    EXPORT_BLOCK events at a time."""
+    EXPORT_BLOCK events at a time. An event is (float time, int channel,
+    plain ASCII kind), so %r, %d and quotes give json.dumps's text."""
     events = trace.events
     with open(path, "w") as f:
         f.write("[")
         for i in range(0, len(events), EXPORT_BLOCK):
-            block = json.dumps([{"t": t, "channel": ch, "kind": kind}
-                                for t, ch, kind in events[i:i + EXPORT_BLOCK]])
-            f.write((", " if i else "") + block[1:-1])
+            f.write((", " if i else "") + ", ".join(
+                ['{"t": %r, "channel": %d, "kind": "%s"}' % e
+                 for e in events[i:i + EXPORT_BLOCK]]))
         f.write("]\n")
 
 
-def _run_report(trace, runtime, warning, outdir, tag):
-    """Write one run's trace and event log; returns its report entry."""
-    csv_path = os.path.join(outdir, f"trace{tag}.csv")
-    events_path = os.path.join(outdir, f"events{tag}.json")
+def _export(trace, outputs):
+    """Write one run's trace CSV and event log to the two paths."""
+    csv_path, events_path = outputs
     write_trace_csv(trace, csv_path)
     write_event_log(trace, events_path)
+
+
+def _fork_export(trace, outputs):
+    """_export in a forked child, which sends any exception it raises back
+    through a pipe and ends with os._exit, so the parent's stdio is never
+    flushed and its atexit handlers never run there. Returns the writer,
+    (pid, read end of the pipe), for _reap."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 0
+    try:
+        os.close(r)
+        _export(trace, outputs)
+    except BaseException as exc:
+        code = 1
+        with open(w, "wb") as f:
+            f.write(pickle.dumps(exc))
+    finally:
+        os._exit(code)
+
+
+def _reap(writer):
+    """Wait for a writer of _fork_export, if there is one, and raise the
+    exception it sent back with its type and message."""
+    if writer is None:
+        return
+    pid, r = writer
+    try:
+        with open(r, "rb") as f:
+            sent = f.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if sent:
+        raise pickle.loads(sent)
+    if status:
+        raise OSError(f"the writer of a run's files ended with status "
+                      f"{os.waitstatus_to_exitcode(status)}")
+
+
+def _run_report(trace, runtime, warning, outputs):
+    """One run's report entry; outputs are the paths of its files."""
     return {
         "seed": trace.scenario.seed,
         "consensus": trace.consensus_time is not None,
@@ -273,7 +323,7 @@ def _run_report(trace, runtime, warning, outdir, tag):
         "final_delta_sq": float(trace.delta_sq[-1]),
         "runtime_s": runtime,
         "warnings": [warning] if warning else [],
-        "outputs": [csv_path, events_path],
+        "outputs": outputs,
     }
 
 
@@ -292,16 +342,34 @@ def cmd_run(args):
     # A single run is a sweep of its own seed whose files carry no tag.
     seeds, tag = ([s.seed], "") if sweep is None else (sweep, "_seed{}")
     runs = []
-    for sd in seeds:
-        start = time.perf_counter()
-        try:
-            trace = run(replace(s, seed=sd))
-        except RUN_ERRORS as exc:
-            _emit({"error": str(exc)})
-            return EXIT_RUNTIME
-        runs.append(_run_report(trace, time.perf_counter() - start, warning,
-                                args.out, tag.format(sd)))
-        del trace  # free it before the next seed runs: a trace is large
+    # Every seed's files but the last are written by a forked child while
+    # the next seed simulates. At most one writer exists: it is reaped, and
+    # its failure raised, before the next one forks, and in the finally,
+    # so a writer's failure surfaces before any later seed's.
+    error, writer = None, None
+    try:
+        for k, sd in enumerate(seeds):
+            start = time.perf_counter()
+            try:
+                trace = run(replace(s, seed=sd))
+            except RUN_ERRORS as exc:
+                error = exc
+                break
+            outputs = [os.path.join(args.out, f"trace{tag.format(sd)}.csv"),
+                       os.path.join(args.out, f"events{tag.format(sd)}.json")]
+            runs.append(_run_report(trace, time.perf_counter() - start, warning, outputs))
+            if k == len(seeds) - 1 or not hasattr(os, "fork"):
+                _export(trace, outputs)
+            else:
+                previous, writer = writer, None
+                _reap(previous)
+                writer = _fork_export(trace, outputs)
+            del trace  # free it before the next seed runs: a trace is large
+    finally:
+        _reap(writer)
+    if error is not None:
+        _emit({"error": str(error)})
+        return EXIT_RUNTIME
     report = runs[0] if sweep is None else {"runs": runs}
     report_path = os.path.join(args.out, "report.json")
     with open(report_path, "w") as f:

@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -799,6 +802,123 @@ def test_sweep_matches_single_runs(ex_file, tmp_path, capsys):
         for report in (swept, one):
             del report["runtime_s"], report["outputs"]
         assert swept == one
+
+
+# -- sweep writers ---------------------------------------------------------------
+# Every seed's files but the last are written by a forked child while the
+# next seed simulates; files, report and exit codes are those of writing
+# them in the parent.
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _sweep_files(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
+            if p.name != "report.json"}
+
+
+def _fail_at_seed(monkeypatch, seed, exc):
+    """Make the simulation of `seed` raise exc; the other seeds run."""
+    inner = cli.run
+
+    def failing(s):
+        if s.seed == seed:
+            raise exc
+        return inner(s)
+    monkeypatch.setattr(cli, "run", failing)
+
+
+def test_sweep_forks_one_writer_at_a_time(ex_file, tmp_path, capsys, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        _no_child_left()        # the writer before has been reaped
+        forks.append(1)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    sweep = ex_file(2, horizon=1.0, sweep={"seeds": [1, 2, 3, 4]})
+    assert run_cli(capsys, "run", sweep, "--out", str(tmp_path / "sweep"))[0] == 0
+    assert len(forks) == 3      # the last seed is written in the parent
+    _no_child_left()
+    # a single run never forks
+    assert run_cli(capsys, "run", ex_file(2, horizon=1.0), "--out", str(tmp_path / "one"))[0] == 0
+    assert len(forks) == 3
+
+
+def test_sweep_without_fork_writes_the_same_bytes(ex_file, tmp_path, capsys, monkeypatch):
+    sweep = ex_file(2, horizon=3.0, sweep={"seeds": [1, 2, 3]})
+    assert run_cli(capsys, "run", sweep, "--out", str(tmp_path / "forked"))[0] == 0
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(capsys, "run", sweep, "--out", str(tmp_path / "inline"))[0] == 0
+    forked, inline = _sweep_files(tmp_path / "forked"), _sweep_files(tmp_path / "inline")
+    assert len(forked) == 6 and forked == inline
+
+
+@pytest.mark.parametrize("second_seed_diverges", [False, True])
+def test_sweep_writer_failure_exits_2(ex_file, tmp_path, capsys, monkeypatch,
+                                      second_seed_diverges):
+    # seed 1's CSV path is a directory, so its writer fails; the failure is
+    # reported as the parent reports it, before any later seed's
+    out_dir = tmp_path / "sweep"
+    (out_dir / "trace_seed1.csv").mkdir(parents=True)
+    with pytest.raises(OSError) as in_parent:
+        open(str(out_dir / "trace_seed1.csv"), "w")
+    if second_seed_diverges:
+        _fail_at_seed(monkeypatch, 2, RuntimeError("state diverged"))
+    code, out = run_cli(capsys, "run", ex_file(2, horizon=1.0, sweep={"seeds": [1, 2, 3]}),
+                        "--out", str(out_dir))
+    assert code == 2
+    assert json.loads(out) == {"error": str(in_parent.value)}
+    assert sorted(p.name for p in out_dir.iterdir()) == ["trace_seed1.csv"]
+    _no_child_left()
+
+
+def test_sweep_divergence_after_a_written_seed_exits_4(ex_file, tmp_path, capsys,
+                                                       monkeypatch):
+    single = ex_file(2, horizon=3.0)
+    assert run_cli(capsys, "--seed", "1", "run", single, "--out", str(tmp_path / "one"))[0] == 0
+    _fail_at_seed(monkeypatch, 2, RuntimeError("state diverged at t = 1"))
+    out_dir = tmp_path / "sweep"
+    code, out = run_cli(capsys, "run", ex_file(2, horizon=3.0, sweep={"seeds": [1, 2, 3]}),
+                        "--out", str(out_dir))
+    assert code == 4
+    assert json.loads(out) == {"error": "state diverged at t = 1"}
+    assert _sweep_files(out_dir) == {
+        "events_seed1.json": (tmp_path / "one" / "events.json").read_bytes(),
+        "trace_seed1.csv": (tmp_path / "one" / "trace.csv").read_bytes()}
+    _no_child_left()
+
+
+def test_sweep_interrupt_reaps_the_writer(ex_file, tmp_path, capsys, monkeypatch):
+    _fail_at_seed(monkeypatch, 2, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", ex_file(2, horizon=1.0, sweep={"seeds": [1, 2]}),
+              "--out", str(tmp_path / "sweep")])
+    _no_child_left()
+    assert len(_sweep_files(tmp_path / "sweep")) == 2
+
+
+def test_sweep_writer_leaves_the_parents_stdio_alone(ex_file, tmp_path):
+    # text still buffered in the parent's stdout when a writer forks, and an
+    # atexit handler, show once: the child ends without flushing or handlers
+    child = ("import atexit, sys\n"
+             "from asynclab.cli import main\n"
+             "atexit.register(print, 'at exit')\n"
+             "sys.stdout.write('buffered ')\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", child, "run",
+         ex_file(2, horizon=1.0, sweep={"seeds": [1, 2, 3]}), "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("buffered ") == 1 and done.stdout.count("at exit") == 1
+    assert len(json.loads(done.stdout[len("buffered "):-len("at exit\n")])["runs"]) == 3
 
 
 def _count_calls(monkeypatch, *targets):
