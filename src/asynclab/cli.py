@@ -29,7 +29,7 @@ from . import bounds, scenarios
 from .bounds import InfeasibleError, SetMembershipError
 from .design import DesignError, GainDesign, riccati_design, riccati_residual
 from .graphs import build_algebra
-from .sampling import ScheduleError, validate_schedule
+from .sampling import ScheduleError
 from .sim import run
 
 EXIT_OK = 0
@@ -105,21 +105,14 @@ def _h_tau(doc):
     tau_max, or else, over its explicit schedules, the largest delay and the
     longest span without a sample: the first instant, a gap between
     consecutive instants, or the span from the last instant to the
-    document's horizon, which explicit schedules therefore require. Each
-    explicit schedule is checked as a scenario checks it; None without
-    either section."""
+    document's horizon, which explicit schedules therefore require. None
+    without either section."""
     schedule = scenarios.read(doc, "schedule")
     if schedule is not None:
         return schedule.h_max, schedule.tau_max
     explicit = scenarios.read(doc, "schedules")
     if explicit is None:
         return None
-    for ch, sc in enumerate(explicit):
-        try:
-            validate_schedule(sc, math.inf, math.inf)
-        except ScheduleError as exc:
-            raise scenarios.ScenarioFormatError(
-                f"bad schedules section: channel {ch}: {exc}") from exc
     horizon = scenarios.read(doc, "horizon", required=True)
     spans = (np.diff(sc.sample_instants, prepend=0.0, append=horizon) for sc in explicit)
     return (max(float(d.max(initial=0.0)) for d in spans),

@@ -80,8 +80,8 @@ def expm_integral(M, t: float) -> np.ndarray:
 
     Computed as the top-right block of exp([[M, I], [0, 0]] * t), which is
     exact for singular M as well; equals M^{-1}(e^{Mt} - I) when M is
-    invertible. The reference for the simulator's flow maps, which compute
-    Phi in their own way (sim.Propagator).
+    invertible. The reference for the simulator's modal flow maps, which
+    compute Phi in their own way (sim.Propagator).
     """
     M = _as_square(M)
     if t < 0:

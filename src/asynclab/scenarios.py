@@ -33,7 +33,8 @@ from .design import DesignError, riccati_design
 from .graphs import (InteractionGraph, build_algebra, cycle_graph, path_graph,
                      star_graph)
 from .matan import LtiModel
-from .sampling import ChannelSchedule, ErrorModel
+from .sampling import (ChannelSchedule, ErrorModel, ScheduleError,
+                       validate_schedule)
 from .sim import Scenario, ScheduleParams
 
 
@@ -142,7 +143,14 @@ def _channel_schedule(entry) -> ChannelSchedule:
 
 
 def _schedules(sec) -> tuple[ChannelSchedule, ...]:
-    return tuple(map(_channel_schedule, sec))
+    """The explicit schedules, each structurally admissible (no h or tau cap)."""
+    schedules = tuple(map(_channel_schedule, sec))
+    for ch, sc in enumerate(schedules):
+        try:
+            validate_schedule(sc, math.inf, math.inf)
+        except ScheduleError as exc:
+            raise ValueError(f"channel {ch}: {exc}") from exc
+    return schedules
 
 
 # The keys of an error_model section of each kind, besides kind itself.

@@ -24,7 +24,7 @@ from operator import itemgetter
 import numpy as np
 
 from .graphs import InteractionGraph, build_algebra, is_connected
-from .matan import LtiModel
+from .matan import LtiModel, expm
 from .sampling import (ChannelSchedule, ErrorModel, ScheduleError,
                        apply_additive_error, apply_multiplicative_error,
                        channel_rng, event_trigger_check, generate_schedule,
@@ -226,7 +226,7 @@ class Propagator:
 
     Uses the eigendecomposition of A when it is well conditioned (covers
     normal and diagonal matrices, including A = 0, vectorized over many
-    steps at once); falls back to the block-matrix exponential otherwise.
+    steps at once); falls back to matan.expm of a block matrix otherwise.
     """
 
     COND_LIMIT = 1e6
@@ -259,17 +259,16 @@ class Propagator:
     def pairs(self, dts) -> tuple[np.ndarray, np.ndarray]:
         """Stacked flow maps of a 1-d sequence of steps: two (len, n, n)
         arrays whose k-th matrices are the pair of dts[k]."""
-        dts = np.asarray(dts, dtype=float)[:, None]
-        if self._diag:
-            wd = dts * self.w
-            ew = np.exp(wd)
-            small = np.abs(wd) < 1e-8
-            phiw = np.where(small, dts * (1.0 + wd / 2.0 + wd * wd / 6.0),
-                            (ew - 1.0) / np.where(small, 1.0, self.w))
-            return self._modal(ew), self._modal(phiw)
-        import scipy.linalg     # only a defective A needs it
-        E = scipy.linalg.expm(self._blk * dts[:, :, None])
-        return E[:, : self.n, : self.n], E[:, : self.n, self.n:]
+        dts = np.asarray(dts, dtype=float)
+        if not self._diag:
+            E = expm(self._blk, dts)
+            return E[:, : self.n, : self.n], E[:, : self.n, self.n:]
+        wd = dts[:, None] * self.w
+        ew = np.exp(wd)
+        small = np.abs(wd) < 1e-8
+        phiw = np.where(small, dts[:, None] * (1.0 + wd / 2.0 + wd * wd / 6.0),
+                        (ew - 1.0) / np.where(small, 1.0, self.w))
+        return self._modal(ew), self._modal(phiw)
 
     def exps(self, ts) -> np.ndarray:
         """Stacked e^{A t} of a 1-d sequence of times: bit for bit
@@ -283,6 +282,54 @@ class Propagator:
         shared, so the stack is one (K n x n) @ (n x n) product."""
         K, n = f.shape
         return ((self.V * f[:, None, :]).reshape(K * n, n) @ self.Vi).real.reshape(K, n, n)
+
+
+@dataclass(frozen=True)
+class Coupling:
+    """The network's read and drive maps, the one reader of the mode for
+    them: read gives the value channel ch samples from the unit states X,
+    and drive feeds the holds H back as -(C H KT). A relative edge reads
+    x_head - x_tail, and C is the incidence. Broadcast and abstract units
+    read their own state; C is the Laplacian, on the edges of live holds
+    until every agent has one, or the scenario's coupling matrix."""
+
+    C: np.ndarray
+    KT: np.ndarray
+    ends: tuple | None = None               # relative edges: (head, tail) units
+    incidence: np.ndarray | None = None     # broadcast: the edges C masks
+
+    @classmethod
+    def of(cls, s: Scenario) -> Coupling:
+        if s.mode == "abstract_coupled":
+            return cls(s.coupling, s.gain.T)
+        algebra = build_algebra(s.graph)
+        KT = (s.model.B @ s.gain).T
+        if s.mode == "broadcast":
+            return cls(algebra.graph_laplacian, KT, incidence=algebra.incidence)
+        return cls(algebra.incidence, KT,
+                   ends=tuple((head - 1, tail - 1) for tail, head in s.graph.edges))
+
+    @property
+    def consensus(self) -> bool:     # a graph's agents: 1^T C = 0
+        return self.ends is not None or self.incidence is not None
+
+    def read(self, X, ch):
+        if self.ends is None:
+            return X[ch]
+        head, tail = self.ends[ch]
+        return X[head] - X[tail]
+
+    def drive(self, H, held):
+        """-(C H KT); held[ch] is None while channel ch has no hold."""
+        C = self.C
+        if self.incidence is not None and None in held:
+            # Before an agent's first broadcast arrives, the pairwise
+            # controller terms involving it are absent (not zero-valued):
+            # restrict the Laplacian to edges with both holds live.
+            inc = self.incidence
+            live = np.abs(inc).T @ np.array([key is None for key in held]) == 0
+            C = (inc * live) @ inc.T
+        return -(C.dot(H.dot(self.KT)))
 
 
 class _Engine:
@@ -300,21 +347,9 @@ class _Engine:
         self.channels = s.n_channels
         self.X = s.x0.reshape(self.units, N).copy()
         self.prop = Propagator(s.model.A)
-        self.consensus_mode = s.mode in ("relative_edges", "broadcast")
-        # The coupling sums to zero, so the mean evolves on its own:
-        # kappa(t) = e^{At} kappa0.
-        self.kappa0 = self.X.mean(axis=0) if self.consensus_mode else None
-        self.algebra = build_algebra(s.graph) if self.consensus_mode else None
-        if s.mode == "relative_edges":
-            self.couple = self.algebra.incidence           # n x m
-        elif s.mode == "broadcast":
-            self.couple = self.algebra.graph_laplacian     # n x n
-        else:
-            self.couple = s.coupling                       # m x m
-        self.KT = (s.model.B @ s.gain).T if self.consensus_mode else s.gain.T
-        # the endpoints (head, tail) of each edge, as unit indices
-        self.ends = ([(head - 1, tail - 1) for tail, head in s.graph.edges]
-                     if s.mode == "relative_edges" else None)
+        self.coupling = Coupling.of(s)
+        # kappa(t) = e^{At} kappa0 when the mean evolves on its own
+        self.kappa0 = self.X.mean(axis=0) if self.coupling.consensus else None
         self.H = np.zeros((self.channels, N))
         self.held = [None] * self.channels    # the bytes of each live hold
         self.drive = np.zeros((self.units, N))
@@ -329,7 +364,7 @@ class _Engine:
         self.row_dsq = np.empty(rows)
         self.err_rngs = [channel_rng(s.seed, ch, stream=1)
                          for ch in range(self.channels)]
-        d0 = self.X - self.kappa0 if self.consensus_mode else self.X
+        d0 = self.X if self.kappa0 is None else self.X - self.kappa0
         self.consensus_tol = (s.consensus_tol if s.consensus_tol is not None
                               else 1e-8 * (1.0 + float(np.sum(d0 * d0))))
         # the watch over the settled rows: the start of the run of rows
@@ -349,21 +384,9 @@ class _Engine:
         if key != self.held[ch]:
             self.held[ch] = key
             self.H[ch] = value
-            couple = self.couple
-            if self.s.mode == "broadcast" and None in self.held:
-                # Before an agent's first broadcast arrives, the pairwise
-                # controller terms involving it are absent (not zero-valued):
-                # restrict the Laplacian to edges with both holds live.
-                couple = self._masked_laplacian()
-            self.drive = -(couple.dot(self.H.dot(self.KT)))
+            self.drive = self.coupling.drive(self.H, self.held)
         self.drive_changes.append((self.t, self.drive))
         return self.drive
-
-    def _masked_laplacian(self):
-        inc = self.algebra.incidence
-        dead = np.array([key is None for key in self.held])
-        live = np.abs(inc).T @ dead == 0     # no endpoint without a hold
-        return (inc * live) @ inc.T
 
     # -- measurement ------------------------------------------------------
     def measure(self, ch, value):
@@ -406,7 +429,7 @@ class _Engine:
         while self.n_settled < end:
             sl = slice(self.n_settled, min(end, self.n_settled + FLOW_CHUNK))
             t, X = self.row_t[sl], self.row_x[sl]
-            if self.consensus_mode:
+            if self.kappa0 is not None:
                 X = X - (self.prop.exps(t) @ self.kappa0)[:, None, :]
             dsq = np.sum((X * X).reshape(len(t), -1), axis=1)
             bad = np.flatnonzero(~np.isfinite(dsq))
@@ -452,7 +475,7 @@ class _Engine:
         """V = 1/2 sum over edges of z^T P z, z the relative states."""
         P = self.s.lyapunov_P
         return np.concatenate([0.5 * np.sum(Z * (Z @ P.T), axis=(1, 2)) for Z in
-                               (self.couple.T @ X[sl] for sl in _chunks(len(X)))])
+                               (self.coupling.C.T @ X[sl] for sl in _chunks(len(X)))])
 
     def finish(self) -> Trace:
         """The trace of the run. Both loops end at the grid instant on the
@@ -460,7 +483,7 @@ class _Engine:
         self.settle(final=True)
         n = self.n_rows
         t, X, dsq = self.row_t[:n], self.row_x[:n], self.row_dsq[:n]
-        relative = self.s.mode == "relative_edges" and self.s.lyapunov_P is not None
+        relative = self.coupling.ends is not None and self.s.lyapunov_P is not None
         return Trace(scenario=self.s, t=t, states=X.reshape(n, -1), delta_sq=dsq,
                      lyapunov=self._lyapunov_column(X) if relative else None,
                      events=self.events, drive_changes=self.drive_changes,
@@ -568,14 +591,13 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
         last_sent[ch] = value
         return True
 
-    ends, measure, set_hold = eng.ends, eng.measure, eng.set_hold
+    read, measure, set_hold = eng.coupling.read, eng.measure, eng.set_hold
     events = eng.events
     row_t, row_x = eng.row_t, eng.row_x      # sized for every row of the run
     X, t, r = eng.X, eng.t, eng.n_rows - 1
     if eng.s.startup == "first_sample":
-        values = X if ends is None else [X[head] - X[tail] for head, tail in ends]
-        for ch, value in enumerate(values):
-            set_hold(ch, value)
+        for ch in range(eng.channels):
+            set_hold(ch, read(X, ch))
     drive = eng.drive
     t_row = t       # the time of row r, the last one
     try:
@@ -597,11 +619,7 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
                     drive = set_hold(ch, value)
                     events.append((te, ch, "deliver"))
                 elif ch >= 0:
-                    if ends is None:
-                        value = X[ch]
-                    else:
-                        head, tail = ends[ch]
-                        value = X[head] - X[tail]
+                    value = read(X, ch)
                     if not triggered or fire(ch, value):
                         queue[ch].append((order >> 1, measure(ch, value)))
                         if triggered:

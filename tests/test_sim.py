@@ -19,7 +19,8 @@ from scipy.integrate import solve_ivp
 from asynclab import sim
 from asynclab.graphs import build_algebra, cycle_graph, path_graph
 from asynclab.matan import LtiModel, expm, expm_integral
-from asynclab.sampling import ChannelSchedule, ErrorModel, channel_rng
+from asynclab.sampling import (ChannelSchedule, ErrorModel, channel_rng,
+                               generate_schedule)
 from asynclab.scenarios import builtin_example, parse_scenario
 from asynclab.sim import (DivergenceError, Scenario, ScenarioError,
                           ScheduleParams, run)
@@ -203,24 +204,36 @@ print(json.dumps({"dispatch": [f for f in __cpu_dispatch__ if __cpu_features__[f
 """
 
 
+def _child_run(**env):
+    """The dispatched SIMD features and the example digests of a child
+    process whose environment adds env."""
+    here = Path(__file__).resolve().parent
+    paths = [str(Path(sim.__file__).resolve().parents[1]), str(here),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **env)
+    done = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD], env=env, cwd=here,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="the dispatch features named are x86-64 ones")
 def test_traces_do_not_depend_on_numpy_simd_dispatch():
     # The examples' traces must not depend on which SIMD kernels numpy
     # picks: a child limited to SSE4.2 gives the bytes of this process.
-    here = Path(__file__).resolve().parent
-    paths = [str(Path(sim.__file__).resolve().parents[1]), str(here),
-             os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=NO_AVX_FEATURES,
-               PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    done = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD], env=env, cwd=here,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    child = json.loads(done.stdout.splitlines()[-1])
+    child = _child_run(NPY_ENABLE_CPU_FEATURES=NO_AVX_FEATURES)
     # the limit took hold: no AVX2, FMA or AVX-512 kernel is dispatched
     assert not [f for f in child["dispatch"]
                 if f.startswith(("AVX", "FMA", "F16C", "X86_V3", "X86_V4"))]
     assert child["digests"] == _example_digests(4.0)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_traces_do_not_depend_on_blas_thread_count(threads):
+    # Nor on the size of OpenBLAS's thread pool: the benchmark runs with one
+    # thread, and this process with the library's default.
+    assert _child_run(OPENBLAS_NUM_THREADS=threads)["digests"] == _example_digests(4.0)
 
 
 def test_average_state_invariance_relative_mode():
@@ -758,6 +771,127 @@ def test_saturated_holds_match_per_delivery_reference():
     k = [ch for _, ch, kind in tr.events if kind == "deliver"].index(1)
     before, after = tr.drive_changes[k][1], tr.drive_changes[k + 1][1]
     assert not np.array_equal(after, before)
+
+
+# -- the engine against exact lifted maps --------------------------------------
+# A zero-error run on explicit schedules is a switched linear system, flows
+# between jumps (Hetel et al., "Recent developments on the stability of
+# systems with aperiodic sampling: an overview", Automatica, 2017), so the
+# product of its lifted maps gives the state at every row with no ODE solver.
+
+def _lifted_states(tr):
+    """The unit states at every row of tr, from the product of exact linear
+    maps on z = (X, H, P): the states, the holds, and the measurement in
+    flight on each channel. A flow over dt maps X to
+    (I (x) e^{A dt}) X - (C (x) Phi(dt) BK) H, a sample on channel c sets
+    P_c = (R_c (x) I) X, and its delivery sets H_c = P_c; events apply in
+    the order of the event log. Relative edges read R = D^T, x_head - x_tail,
+    and drive through C = D, the incidence. Broadcasts read R = I and drive
+    through the Laplacian of the edges whose two agents hold a delivered
+    value. R, C and BK are built here, not taken from the sim.Coupling that
+    this checks; e^{A dt} and Phi(dt) are blocks of scipy's expm of one
+    matrix."""
+    s = tr.scenario
+    A, N, BK = s.model.A, s.model.N, s.model.B @ s.gain
+    D = build_algebra(s.graph).incidence
+    relative = s.mode == "relative_edges"
+    R = D.T if relative else np.eye(s.graph.n)
+    channels, units = R.shape
+    nx, nh = units * N, channels * N
+    X = slice(0, nx)
+
+    def H(c):
+        return slice(nx + c * N, nx + (c + 1) * N)
+
+    def P(c):
+        return slice(nx + nh + c * N, nx + nh + (c + 1) * N)
+
+    def jump(rows, cols, block):
+        J = np.eye(nx + 2 * nh)
+        J[rows] = 0.0
+        J[rows, cols] = block
+        return J
+
+    live = np.zeros(channels, dtype=bool)
+
+    def flow(dt):
+        if relative:
+            C = D
+        else:
+            both = [live[i - 1] and live[j - 1] for i, j in s.graph.edges]
+            C = D[:, both] @ D[:, both].T
+        blk = np.zeros((2 * N, 2 * N))
+        blk[:N, :N], blk[:N, N:] = A, np.eye(N)
+        E = sla.expm(blk * dt)
+        F = np.eye(nx + 2 * nh)
+        F[X, X] = np.kron(np.eye(units), E[:N, :N])
+        F[X, nx:nx + nh] = -np.kron(C, E[:N, N:] @ BK)
+        return F
+
+    z = np.concatenate([s.x0, np.zeros(2 * nh)])
+    if s.startup == "first_sample":
+        for c in range(channels):
+            z = jump(H(c), X, np.kron(R[c:c + 1], np.eye(N))) @ z
+        live[:] = True
+    events, t, out = deque(tr.events), 0.0, []
+    for tk in tr.t.tolist():
+        while events and events[0][0] <= tk:
+            te, c, kind = events.popleft()
+            z = flow(te - t) @ z
+            t = te
+            if kind == "sample":
+                z = jump(P(c), X, np.kron(R[c:c + 1], np.eye(N))) @ z
+            else:
+                z = jump(H(c), P(c), np.eye(N)) @ z
+                live[c] = True
+        z = flow(tk - t) @ z
+        t = tk
+        out.append(z[X].copy())
+    return np.array(out)
+
+
+def _lifted_scenarios(mode, startup, model):
+    """Zero-error runs in mode and startup on example 1's 5-cycle, with the
+    agents of model (example 1's oscillator and design gain, a single
+    integrator or a double integrator), keyed by the kind of their explicit
+    schedules: synchronous instants, per-channel phase offsets and
+    generated draws."""
+    base = _example(1, 4.0)
+    if model == "integrator":
+        base = replace(base, model=INTEGRATOR, gain=np.array([[1.0]]),
+                       x0=[1.0, -0.5, 0.5, -1.0, 0.8], lyapunov_P=None)
+    elif model == "double_integrator":
+        base = replace(base, model=LtiModel(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]]),
+                       gain=np.array([[0.5, 1.0]]), lyapunov_P=None)
+    h, tau = 0.1, 0.04
+    inst = np.arange(0.0, 4.0, h)
+    # half-period offsets, nudged so that no two channels sample together
+    offsets = np.array([0.0, 0.5, 0.5, 0.0, 0.5]) * h + [0.0, 0.013, 0.027, 0.041, 0.066]
+    kinds = {
+        "synchronous": [ChannelSchedule(c, inst, np.full_like(inst, tau)) for c in range(5)],
+        "offsets": [ChannelSchedule(c, inst + phase, np.full_like(inst, tau))
+                    for c, phase in enumerate(offsets)],
+        "drawn": [generate_schedule(0.05, 0.15, tau, 4.0, 3, c) for c in range(5)],
+    }
+    return {kind: replace(base, mode=mode, startup=startup, schedule=None,
+                          schedules=tuple(schedules), error_model=ErrorModel.none(),
+                          snapshot_points=40)
+            for kind, schedules in kinds.items()}
+
+
+@pytest.mark.parametrize("model", ["oscillator", "integrator", "double_integrator"])
+@pytest.mark.parametrize("startup", ["zero", "first_sample"])
+@pytest.mark.parametrize("mode", ["relative_edges", "broadcast"])
+def test_engine_states_equal_the_lifted_product(mode, startup, model):
+    # The engine's state at every row equals the exact product of lifted
+    # maps, to 1e-12 of the trace's largest entry. The oscillator and the
+    # integrator take Propagator's modal branch, the defective double
+    # integrator its block exponential.
+    for kind, s in _lifted_scenarios(mode, startup, model).items():
+        tr = run(s)
+        assert sum(k == "deliver" for _, _, k in tr.events) > 100, kind
+        scale = np.max(np.abs(tr.states))
+        assert np.max(np.abs(_lifted_states(tr) - tr.states)) <= 1e-12 * scale, kind
 
 
 def test_lyapunov_column_matches_per_row_formula():
