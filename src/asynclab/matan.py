@@ -51,14 +51,77 @@ def max_singular_value(M) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
+class Propagator:
+    """Exact flow maps (e^{A dt}, Phi(dt)) for one system matrix, with
+    Phi(dt) the integral of e^{A s} over [0, dt].
+
+    Uses the eigendecomposition of A when it is well conditioned (covers
+    normal and diagonal matrices, including A = 0, vectorized over many
+    steps at once); falls back to scipy's expm of the Van Loan block
+    [[A, I], [0, 0]] otherwise, the package's one use of scipy.
+    """
+
+    COND_LIMIT = 1e6
+
+    def __init__(self, A):
+        self.A = np.asarray(A, dtype=float)
+        self.n = self.A.shape[0]
+        self._diag = False
+        try:
+            w, V = np.linalg.eig(self.A)
+            Vi = np.linalg.inv(V)
+            cond = np.linalg.cond(V)
+            recon = np.linalg.norm(V @ np.diag(w) @ Vi - self.A)
+            if cond < self.COND_LIMIT and recon <= 1e-10 * (1.0 + np.linalg.norm(self.A)):
+                self.w, self.V, self.Vi = w, V, Vi
+                self._diag = True
+        except np.linalg.LinAlgError:
+            pass
+        if not self._diag:
+            blk = np.zeros((2 * self.n, 2 * self.n))
+            blk[: self.n, : self.n] = self.A
+            blk[: self.n, self.n:] = np.eye(self.n)
+            self._blk = blk
+
+    def pair(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """(e^{A dt}, integral of e^{A s} over [0, dt])."""
+        expA, phi = self.pairs([dt])
+        return expA[0], phi[0]
+
+    def pairs(self, dts) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked flow maps of a 1-d sequence of steps: two (len, n, n)
+        arrays whose k-th matrices are the pair of dts[k]. A map that
+        overflows comes back non-finite, as the modal maps do."""
+        dts = np.asarray(dts, dtype=float)
+        if not self._diag:
+            import scipy.linalg
+            E = scipy.linalg.expm(self._blk * dts[:, None, None])
+            return E[:, : self.n, : self.n], E[:, : self.n, self.n:]
+        wd = dts[:, None] * self.w
+        ew = np.exp(wd)
+        small = np.abs(wd) < 1e-8
+        phiw = np.where(small, dts[:, None] * (1.0 + wd / 2.0 + wd * wd / 6.0),
+                        (ew - 1.0) / np.where(small, 1.0, self.w))
+        return self._modal(ew), self._modal(phiw)
+
+    def exps(self, ts) -> np.ndarray:
+        """Stacked e^{A t} of a 1-d sequence of times: bit for bit
+        pairs(ts)[0], without the modal branch's Phi stack."""
+        if not self._diag:
+            return self.pairs(ts)[0]
+        return self._modal(np.exp(np.asarray(ts, dtype=float)[:, None] * self.w))
+
+    def _modal(self, f):
+        """The real matrices V diag(f[k]) V^-1 for each row f[k]. Vi is
+        shared, so the stack is one (K n x n) @ (n x n) product."""
+        K, n = f.shape
+        return ((self.V * f[:, None, :]).reshape(K * n, n) @ self.Vi).real.reshape(K, n, n)
+
+
 def expm(M, t=1.0) -> np.ndarray:
     """Matrix exponential e^{M t}; for a 1-d array of t, the stack of
-    e^{M t_k} along the first axis, from one batched call.
-
-    Delegates to scipy's scaling-and-squaring implementation (Al-Mohy and
-    Higham, degree-13 Pade approximant with norm-based squaring), which
-    treats every matrix of a stack on its own; scipy is imported on the
-    first call, not with this module.
+    e^{M t_k} along the first axis: the flow maps of Propagator(M).exps,
+    so modal for a diagonalizable M with well-conditioned eigenvectors.
     """
     M = _as_square(M)
     t = np.asarray(t, dtype=float)
@@ -66,31 +129,12 @@ def expm(M, t=1.0) -> np.ndarray:
         raise DimensionError(f"t must be a scalar or 1-d, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
-    import scipy.linalg
     # an overflow is raised below, so numpy stays quiet about it
-    with np.errstate(over="ignore"):
-        out = scipy.linalg.expm(M * t[..., None, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = Propagator(M).exps(t.reshape(-1))
     if not np.all(np.isfinite(out)):
         raise OverflowError("matrix exponential overflowed; ||M t|| too large")
-    return out
-
-
-def expm_integral(M, t: float) -> np.ndarray:
-    """Phi(t) = integral of e^{M s} over s in [0, t].
-
-    Computed as the top-right block of exp([[M, I], [0, 0]] * t), which is
-    exact for singular M as well; equals M^{-1}(e^{Mt} - I) when M is
-    invertible. The reference for the simulator's modal flow maps, which
-    compute Phi in their own way (sim.Propagator).
-    """
-    M = _as_square(M)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    n = M.shape[0]
-    blk = np.zeros((2 * n, 2 * n))
-    blk[:n, :n] = M
-    blk[:n, n:] = np.eye(n)
-    return expm(blk, t)[:n, n:]
+    return out.reshape(t.shape + M.shape)
 
 
 @dataclass(frozen=True)

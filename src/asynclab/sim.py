@@ -24,7 +24,7 @@ from operator import itemgetter
 import numpy as np
 
 from .graphs import InteractionGraph, build_algebra, is_connected
-from .matan import LtiModel, expm
+from .matan import LtiModel, Propagator
 from .sampling import (ChannelSchedule, ErrorModel, ScheduleError,
                        apply_additive_error, apply_multiplicative_error,
                        channel_rng, event_trigger_check, generate_schedule,
@@ -219,69 +219,6 @@ class Trace:
 def _chunks(n: int):
     """Consecutive slices of at most FLOW_CHUNK covering range(n)."""
     return (slice(i, i + FLOW_CHUNK) for i in range(0, n, FLOW_CHUNK))
-
-
-class Propagator:
-    """Exact flow maps (e^{A dt}, Phi(dt)) for one system matrix.
-
-    Uses the eigendecomposition of A when it is well conditioned (covers
-    normal and diagonal matrices, including A = 0, vectorized over many
-    steps at once); falls back to matan.expm of a block matrix otherwise.
-    """
-
-    COND_LIMIT = 1e6
-
-    def __init__(self, A):
-        self.A = np.asarray(A, dtype=float)
-        self.n = self.A.shape[0]
-        self._diag = False
-        try:
-            w, V = np.linalg.eig(self.A)
-            Vi = np.linalg.inv(V)
-            cond = np.linalg.cond(V)
-            recon = np.linalg.norm(V @ np.diag(w) @ Vi - self.A)
-            if cond < self.COND_LIMIT and recon <= 1e-10 * (1.0 + np.linalg.norm(self.A)):
-                self.w, self.V, self.Vi = w, V, Vi
-                self._diag = True
-        except np.linalg.LinAlgError:
-            pass
-        if not self._diag:
-            blk = np.zeros((2 * self.n, 2 * self.n))
-            blk[: self.n, : self.n] = self.A
-            blk[: self.n, self.n:] = np.eye(self.n)
-            self._blk = blk
-
-    def pair(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """(e^{A dt}, integral of e^{A s} over [0, dt])."""
-        expA, phi = self.pairs([dt])
-        return expA[0], phi[0]
-
-    def pairs(self, dts) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked flow maps of a 1-d sequence of steps: two (len, n, n)
-        arrays whose k-th matrices are the pair of dts[k]."""
-        dts = np.asarray(dts, dtype=float)
-        if not self._diag:
-            E = expm(self._blk, dts)
-            return E[:, : self.n, : self.n], E[:, : self.n, self.n:]
-        wd = dts[:, None] * self.w
-        ew = np.exp(wd)
-        small = np.abs(wd) < 1e-8
-        phiw = np.where(small, dts[:, None] * (1.0 + wd / 2.0 + wd * wd / 6.0),
-                        (ew - 1.0) / np.where(small, 1.0, self.w))
-        return self._modal(ew), self._modal(phiw)
-
-    def exps(self, ts) -> np.ndarray:
-        """Stacked e^{A t} of a 1-d sequence of times: bit for bit
-        pairs(ts)[0], without the modal branch's Phi stack."""
-        if not self._diag:
-            return self.pairs(ts)[0]
-        return self._modal(np.exp(np.asarray(ts, dtype=float)[:, None] * self.w))
-
-    def _modal(self, f):
-        """The real matrices V diag(f[k]) V^-1 for each row f[k]. Vi is
-        shared, so the stack is one (K n x n) @ (n x n) product."""
-        K, n = f.shape
-        return ((self.V * f[:, None, :]).reshape(K * n, n) @ self.Vi).real.reshape(K, n, n)
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,14 @@ from asynclab.bounds import (theorem2_budget, theorem3_budget,
                              delta_kappa, max_expm_norms)
 from asynclab.design import riccati_design
 from asynclab.graphs import build_algebra, cycle_graph
-from asynclab.matan import (LtiModel, SpectralConstants, expm_integral,
-                            lemma1_bounds, lemma2_check, max_singular_value)
+from asynclab.matan import (LtiModel, SpectralConstants, lemma1_bounds, lemma2_check,
+                            max_singular_value)
 from asynclab.sampling import (ErrorModel, generate_schedule, log_quantize,
                                validate_schedule)
 from asynclab.scenarios import builtin_example, parse_scenario
 from asynclab.sim import Scenario, ScheduleParams, run
 
+from test_matan import scipy_expm_integral
 from test_sim import (_delta_tilde_reference, average_state_error, ivp_oracle_final_state,
                       min_update_gap)
 
@@ -141,7 +142,7 @@ def test_criterion_6_lemma_property_suite():
                 E = sla.expm(A * t)
                 assert b1 - max_singular_value(E) >= -1e-9
                 assert b2 - max_singular_value(E - np.eye(n)) >= -1e-9
-                assert b3 - max_singular_value(expm_integral(A, t)) >= -1e-9
+                assert b3 - max_singular_value(scipy_expm_integral(A, t)) >= -1e-9
         for t in rng.uniform(0.0, 10.0, size=1000):
             lhs1, rhs1, l2a, l2b, r2b = lemma2_check(float(t))
             assert lhs1 <= rhs1 * (1.0 + 1e-12) + 1e-12

@@ -18,6 +18,8 @@ from asynclab.sampling import generate_schedule
 from asynclab.scenarios import LAMBDA_2, ScenarioFormatError, builtin_example, parse_scenario
 from asynclab.sim import ScenarioError, run
 
+from test_sim import OVERFLOWING_EX2
+
 
 @pytest.fixture
 def ex_file(tmp_path):
@@ -155,7 +157,7 @@ def test_bound_unbounded_is_null_in_strict_json(tmp_path, capsys):
 
 
 # A feasible theorem-4 query on example 1's oscillators: its A is not
-# diagonal, so the norms come from the batched Pade scan.
+# diagonal, so the norms come from a scan of its modal flow maps.
 FEASIBLE_OSCILLATOR = {"h": 1e-4, "tau": 0.0, "delta_e": 0.0, "alpha": 0.5, "gamma": 40.0,
                        "eta": 3.0}
 
@@ -967,6 +969,14 @@ def test_run_divergence_exits_4_without_trace(ex_file, tmp_path, capsys):
                         "--out", str(out_dir))
     assert code == 4
     assert "diverged" in json.loads(out)["error"]
+    assert not (out_dir / "trace.csv").exists()
+
+
+def test_run_flow_map_overflow_exits_4_without_trace(ex_file, tmp_path, capsys):
+    out_dir = tmp_path / "diverged"
+    code, out = run_cli(capsys, "run", ex_file(2, **OVERFLOWING_EX2), "--out", str(out_dir))
+    assert code == 4
+    assert json.loads(out)["error"].startswith("simulation diverged at t = ")
     assert not (out_dir / "trace.csv").exists()
 
 

@@ -2,9 +2,21 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from asynclab.matan import (DimensionError, LtiModel, SpectralConstants,
-                            expm, expm_integral, lemma1_bounds, lemma2_check,
-                            max_singular_value, symmetric_part_max_eig)
+from asynclab.matan import (DimensionError, LtiModel, Propagator, SpectralConstants,
+                            expm, lemma1_bounds, lemma2_check, max_singular_value,
+                            symmetric_part_max_eig)
+
+
+def scipy_expm_integral(A, t):
+    """Phi(t), the integral of e^{A s} over [0, t], from scipy: the top-right
+    block of exp([[A, I], [0, 0]] t) (Van Loan), exact for singular A too.
+    An independent reference for Propagator's flow maps."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    blk = np.zeros((2 * n, 2 * n))
+    blk[:n, :n] = A
+    blk[:n, n:] = np.eye(n)
+    return sla.expm(blk * t)[:n, n:]
 
 
 def test_symmetric_part_max_eig_known():
@@ -64,14 +76,12 @@ def test_expm_integral_invertible():
     A = rng.normal(size=(3, 3)) - 3.0 * np.eye(3)   # safely invertible
     t = 0.9
     expected = np.linalg.solve(A, sla.expm(A * t) - np.eye(3))
-    assert np.allclose(expm_integral(A, t), expected, atol=1e-10)
+    assert np.allclose(Propagator(A).pair(t)[1], expected, atol=1e-10)
 
 
 def test_expm_integral_singular():
     # For A = 0 the integral is t * I exactly.
-    assert np.allclose(expm_integral(np.zeros((2, 2)), 1.7), 1.7 * np.eye(2))
-    with pytest.raises(ValueError):
-        expm_integral(np.zeros((2, 2)), -0.1)
+    assert np.allclose(Propagator(np.zeros((2, 2))).pair(1.7)[1], 1.7 * np.eye(2))
 
 
 def test_lti_model_dimensions():
@@ -103,7 +113,7 @@ def test_lemma1_dominates_numerics():
             E = sla.expm(A * t)
             assert max_singular_value(E) <= b1 + 1e-9
             assert max_singular_value(E - np.eye(n)) <= b2 + 1e-9
-            assert max_singular_value(expm_integral(A, t)) <= b3 + 1e-9
+            assert max_singular_value(scipy_expm_integral(A, t)) <= b3 + 1e-9
 
 
 def test_lemma2_scalar_inequalities():

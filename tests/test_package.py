@@ -31,7 +31,7 @@ print(json.dumps({"code": code, "scipy": "scipy" in sys.modules}))
 """
 
 
-@pytest.mark.parametrize("argv, example, bound_params, loads_scipy", [
+@pytest.mark.parametrize("argv, example, overrides, loads_scipy", [
     pytest.param([], None, None, False, id="import"),
     pytest.param(["bound", "{doc}", "--theorem", "3"], 2, None, False, id="ex2-bound-3"),
     pytest.param(["bound", "{doc}", "--theorem", "4"], 3, None, False, id="ex3-bound-4"),
@@ -44,17 +44,20 @@ print(json.dumps({"code": code, "scipy": "scipy" in sys.modules}))
     pytest.param(["bound", "{doc}", "--theorem", "c1"], 1, None, False, id="ex1-bound-c1"),
     pytest.param(["design", "{doc}"], 1, None, False, id="ex1-design"),
     pytest.param(["reproduce", "--example", "1"], None, None, False, id="reproduce-ex1"),
-    # theorem 4 scans the norms of e^{As} for the oscillator's non-diagonal A
-    pytest.param(["bound", "{doc}", "--theorem", "4"], 1, FEASIBLE_OSCILLATOR, True,
-                 id="ex1-bound-4"),
+    # theorem 4 scans the norms of e^{As} from the oscillator's modal flow maps
+    pytest.param(["bound", "{doc}", "--theorem", "4"], 1,
+                 {"bound_params": FEASIBLE_OSCILLATOR}, False, id="ex1-bound-4"),
+    # double integrators are defective: their flow maps are scipy's block expm
+    pytest.param(["run", "{doc}", "--out", "{out}"], 1,
+                 {"model": {"A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]}}, True,
+                 id="double-integrator-run"),
 ])
-def test_scipy_is_imported_only_where_it_is_used(tmp_path, argv, example, bound_params,
+def test_scipy_is_imported_only_where_it_is_used(tmp_path, argv, example, overrides,
                                                  loads_scipy):
     if example is not None:
         doc, _ = builtin_example(example)
         doc["horizon"] = 2.0
-        if bound_params is not None:
-            doc["bound_params"] = bound_params
+        doc.update(overrides or {})
         (tmp_path / "doc.json").write_text(json.dumps(doc))
     argv = [a.format(doc=tmp_path / "doc.json", out=tmp_path / "out") for a in argv]
     src = str(Path(asynclab.__file__).resolve().parents[1])

@@ -16,14 +16,16 @@ import pytest
 import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 
-from asynclab import sim
+from asynclab import matan, sim
 from asynclab.graphs import build_algebra, cycle_graph, path_graph
-from asynclab.matan import LtiModel, expm, expm_integral
+from asynclab.matan import LtiModel
 from asynclab.sampling import (ChannelSchedule, ErrorModel, channel_rng,
                                generate_schedule)
 from asynclab.scenarios import builtin_example, parse_scenario
 from asynclab.sim import (DivergenceError, Scenario, ScenarioError,
                           ScheduleParams, run)
+
+from test_matan import scipy_expm_integral
 
 OSCILLATOR = LtiModel(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]])
 INTEGRATOR = LtiModel(A=[[0.0]], B=[[1.0]])
@@ -978,15 +980,16 @@ def test_exps_are_the_exponentials_of_pairs(A):
          "defective", "defective_stable", "jordan3"])
 def test_pairs_match_expm_and_its_integral(A, modal):
     # The flow maps, from either branch (modal or block exponential),
-    # against matan's scaling-and-squaring e^{A dt} and its Van Loan
-    # integral, to a tolerance.
+    # against scipy's scaling-and-squaring e^{A dt} and its Van Loan
+    # integral, to a tolerance; matan.expm is exps itself.
     prop = sim.Propagator(A)
     assert prop._diag is modal
     dts = np.array([0.0, 1e-12, 5e-9, 1e-4, 0.013, 0.25, 1.0, 3.7])
     E, P = prop.pairs(dts)
     for dt, e, p in zip(dts.tolist(), E, P):
-        for got, want in ((e, expm(A, dt)), (p, expm_integral(A, dt))):
+        for got, want in ((e, sla.expm(np.asarray(A) * dt)), (p, scipy_expm_integral(A, dt))):
             assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+    assert np.array_equal(matan.expm(A, dts), prop.exps(dts))
 
 
 def _consensus_reference(t, delta_sq, tol):
@@ -1033,6 +1036,25 @@ def test_consensus_watch_across_chunks(monkeypatch):
             assert cut.events == tr.events[:n]
             assert all(t <= cut.t[-1] for t, _ in cut.drive_changes)
         assert checked >= 2
+
+
+# Overrides of example 2's document: a defective A, whose block flow maps
+# overflow over the gaps of 1-2 s.
+OVERFLOWING_EX2 = {
+    "model": {"A": [[1000.0, 1.0], [0.0, 1000.0]], "B": [[0.0], [1.0]]},
+    "gain": [[0.5, 1.0]],
+    "schedule": {"h_min": 1.0, "h_max": 2.0, "tau_max": 0.019},
+    "x0": [1.0, 0.0, -0.5, 1.0, 0.5, -1.0, -1.0, -0.5, 0.8, 0.6],
+}
+
+
+def test_divergence_found_when_a_flow_map_overflows():
+    # The block exponential of a long gap overflows; the non-finite state it
+    # leaves is reported as a divergence at its time.
+    s = parse_scenario(dict(builtin_example(2)[0], **OVERFLOWING_EX2))
+    assert not sim.Propagator(s.model.A)._diag
+    with pytest.raises(DivergenceError, match=r"^simulation diverged at t = \d"):
+        run(s)
 
 
 def test_divergence_found_when_the_loop_fails_first():
