@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from bisect import bisect_right
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import eq
 
 import numpy as np
 
@@ -45,6 +47,9 @@ TRIGGER_REFINE_TOL = 1e-9
 FLOW_CHUNK = 4096
 
 MODES = ("abstract_coupled", "relative_edges", "broadcast")    # coupling structures
+# Event kinds, each logged as its index in KINDS.
+KINDS = ("sample", "deliver", "update")
+SAMPLE, DELIVER, UPDATE = range(len(KINDS))
 
 
 class ScenarioError(ValueError):
@@ -202,6 +207,37 @@ class Scenario:
         return self.n_units
 
 
+class Log(Sequence):
+    """A read-only sequence of tuples, built on access from typed columns:
+    row i is (*(c[i] for c in heads), table[codes[i]]). array.array columns
+    give Python floats and ints, so the rows are those of a list of tuples,
+    and equal to one."""
+
+    __slots__ = ("_heads", "_codes", "_table")
+
+    def __init__(self, heads, codes, table):
+        self._heads, self._codes, self._table = heads, codes, table
+
+    def __len__(self):
+        return len(self._codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Log(tuple(c[i] for c in self._heads), self._codes[i], self._table)
+        return (*(c[i] for c in self._heads), self._table[self._codes[i]])
+
+    def __iter__(self):
+        return zip(*self._heads, map(self._table.__getitem__, self._codes))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Log, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self):
+        return repr(list(self))
+
+
 @dataclass
 class Trace:
     """Time-stamped log of one simulation run."""
@@ -211,8 +247,8 @@ class Trace:
     states: np.ndarray                 # (len, units * N)
     delta_sq: np.ndarray
     lyapunov: np.ndarray | None
-    events: list                       # (time, channel, kind)
-    drive_changes: list                # (time, drive matrix snapshot)
+    events: Log                        # (time, channel, kind)
+    drive_changes: Log                 # (time, drive matrix snapshot)
     consensus_time: float | None = None
 
 
@@ -291,8 +327,11 @@ class _Engine:
         self.held = [None] * self.channels    # the bytes of each live hold
         self.drive = np.zeros((self.units, N))
         self.t = 0.0
-        self.events = []
-        self.drive_changes = [(0.0, self.drive)]
+        # the event log in columns (time, channel, kind code), and the drive
+        # log in columns (time, index into drives, its distinct arrays)
+        self.ev_t, self.ev_ch, self.ev_kind = array("d"), array("q"), array("b")
+        self.drives = [self.drive]
+        self.drive_t, self.drive_k = array("d", [0.0]), array("q", [0])
         # preallocated trace columns: rows[:n_rows] hold (t, X), and
         # rows[:n_settled] also delta_sq
         self.n_rows = self.n_settled = 0
@@ -322,8 +361,16 @@ class _Engine:
             self.held[ch] = key
             self.H[ch] = value
             self.drive = self.coupling.drive(self.H, self.held)
-        self.drive_changes.append((self.t, self.drive))
+            self.drives.append(self.drive)
+        self.drive_t.append(self.t)
+        self.drive_k.append(len(self.drives) - 1)
         return self.drive
+
+    def log(self, t, ch, kind):
+        """Log an event of kind (an index into KINDS) on channel ch at t."""
+        self.ev_t.append(t)
+        self.ev_ch.append(ch)
+        self.ev_kind.append(kind)
 
     # -- measurement ------------------------------------------------------
     def measure(self, ch, value):
@@ -405,8 +452,10 @@ class _Engine:
         the logs after it."""
         self.consensus_time = tc = float(self.row_t[r])
         self.n_rows = self.n_settled = r + 1
-        for log in (self.events, self.drive_changes):
-            del log[bisect_right(log, tc, key=itemgetter(0)):]
+        k = bisect_right(self.ev_t, tc)
+        del self.ev_t[k:], self.ev_ch[k:], self.ev_kind[k:]
+        k = bisect_right(self.drive_t, tc)      # >= 1: the drive at t = 0 stays
+        del self.drive_t[k:], self.drive_k[k:], self.drives[self.drive_k[-1] + 1:]
 
     def _lyapunov_column(self, X):
         """V = 1/2 sum over edges of z^T P z, z the relative states."""
@@ -423,7 +472,8 @@ class _Engine:
         relative = self.coupling.ends is not None and self.s.lyapunov_P is not None
         return Trace(scenario=self.s, t=t, states=X.reshape(n, -1), delta_sq=dsq,
                      lyapunov=self._lyapunov_column(X) if relative else None,
-                     events=self.events, drive_changes=self.drive_changes,
+                     events=Log((self.ev_t, self.ev_ch), self.ev_kind, KINDS),
+                     drive_changes=Log((self.drive_t,), self.drive_k, self.drives),
                      consensus_time=self.consensus_time)
 
 
@@ -496,6 +546,7 @@ def run(s: Scenario) -> Trace:
             _monitored(eng)
         elif s.horizon > 0:
             _scheduled(eng, times, dts, chans, orders)
+            del times, dts, chans, orders     # before finish adds its columns
     except (OverflowError, ValueError):
         # a failure inside the loop: raise DivergenceError if a row is not finite
         eng.snapshot()
@@ -529,7 +580,7 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
         return True
 
     read, measure, set_hold = eng.coupling.read, eng.measure, eng.set_hold
-    events = eng.events
+    log_t, log_ch, log_kind = eng.ev_t.append, eng.ev_ch.append, eng.ev_kind.append
     row_t, row_x = eng.row_t, eng.row_x      # sized for every row of the run
     X, t, r = eng.X, eng.t, eng.n_rows - 1
     if eng.s.startup == "first_sample":
@@ -554,14 +605,20 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
                     _, value = q.popleft()
                     eng.t = te          # the time set_hold logs the drive at
                     drive = set_hold(ch, value)
-                    events.append((te, ch, "deliver"))
+                    log_t(te)
+                    log_ch(ch)
+                    log_kind(DELIVER)
                 elif ch >= 0:
                     value = read(X, ch)
                     if not triggered or fire(ch, value):
                         queue[ch].append((order >> 1, measure(ch, value)))
                         if triggered:
-                            events.append((te, ch, "update"))
-                    events.append((te, ch, "sample"))
+                            log_t(te)
+                            log_ch(ch)
+                            log_kind(UPDATE)
+                    log_t(te)
+                    log_ch(ch)
+                    log_kind(SAMPLE)
                 if te != t_row:
                     r += 1
                     row_t[r] = t_row = te
@@ -593,7 +650,7 @@ def _monitored(eng: _Engine) -> None:
     # first update at t = 0 for every channel
     for ch in range(eng.channels):
         eng.set_hold(ch, eng.X[ch])
-        eng.events.append((0.0, ch, "update"))
+        eng.log(0.0, ch, UPDATE)
         heap.append((dwell, RANK_DWELL_EXPIRE, ch))
     heapq.heapify(heap)
 
@@ -633,7 +690,7 @@ def _monitored(eng: _Engine) -> None:
         eng.snapshot()
         if update:
             eng.set_hold(ch, X[ch])
-            eng.events.append((te, ch, "update"))
+            eng.log(te, ch, UPDATE)
             heapq.heappush(heap, (te + dwell, RANK_DWELL_EXPIRE, ch))
         elif watched:
             heapq.heappush(heap, (te + dt_check, RANK_TRIGGER_CHECK, ch))

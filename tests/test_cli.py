@@ -18,7 +18,7 @@ from asynclab.sampling import generate_schedule
 from asynclab.scenarios import LAMBDA_2, ScenarioFormatError, builtin_example, parse_scenario
 from asynclab.sim import ScenarioError, run
 
-from test_sim import OVERFLOWING_EX2
+from test_sim import OVERFLOWING_EX2, _equivalence_scenario
 
 
 @pytest.fixture
@@ -1032,6 +1032,28 @@ def _example_trace(number, horizon):
 @pytest.fixture(scope="module")
 def ex1_trace():
     return _example_trace(1, 10.0)      # ~12k rows and events, with V
+
+
+def test_event_rows_are_python_scalars(tmp_path):
+    # The logs are typed columns. Their rows hold Python floats and ints,
+    # so write_event_log's %r prints json.dumps's text: a numpy float64
+    # would print as np.float64(...).
+    cut = run(_equivalence_scenario("ex2_stop"))
+    assert cut.consensus_time == cut.t[-1]
+    cases = {"relative_edges": _example_trace(1, 3.0),
+             "triggered_broadcast": _example_trace(3, 5.0),
+             "monitored": run(_equivalence_scenario("event_triggered")), "cut": cut}
+    for name, trace in cases.items():
+        kinds = set()
+        for t, ch, kind in trace.events:
+            assert type(t) is float and type(ch) is int, name
+            kinds.add(kind)
+        assert kinds and kinds <= {"sample", "deliver", "update"}, (name, kinds)
+        assert all(type(t) is float for t, _ in trace.drive_changes), name
+        path = tmp_path / f"{name}.json"
+        write_event_log(trace, path)
+        assert path.read_text() == json.dumps(
+            [{"t": t, "channel": ch, "kind": kind} for t, ch, kind in trace.events]) + "\n"
 
 
 def _head(trace, n):

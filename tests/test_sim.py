@@ -624,6 +624,44 @@ def test_stop_at_consensus_ends_at_the_consensus_row():
     assert tr.events[-1][0] <= tr.consensus_time
 
 
+def test_logs_retain_little_per_event():
+    # An event is three typed column entries, and a drive change a time and
+    # an index into the distinct drive arrays. Beyond the trace's rows,
+    # example 1 (10 s, seed 5) retains 69 bytes per event; a tuple per
+    # event and per drive change retained 149.
+    doc, _ = builtin_example(1, seed=5)
+    doc["horizon"] = 10.0
+    s = parse_scenario(doc)
+    run(s)      # caches that outlive a run are filled before the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tr = run(s)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = sum(c.nbytes for c in (tr.t, tr.states, tr.delta_sq, tr.lyapunov))
+    assert (retained - rows) / len(tr.events) < 100
+
+
+def test_logs_read_as_lists_of_tuples():
+    tr = run(_equivalence_scenario("ex1"))
+    for log in (tr.events, tr.drive_changes):
+        rows = list(log)
+        assert len(log) == len(rows) > 10
+        assert log[0] == rows[0] and log[-1] == rows[-1] and log[3] == rows[3]
+        assert list(log[2:9]) == rows[2:9] and len(log[5:]) == len(rows) - 5
+        assert repr(log[:4]) == repr(rows[:4])
+    assert tr.events == list(tr.events) and [] == tr.events[:0]
+    assert tr.events != tr.events[1:] and tr.events != list(tr.events)[::-1]
+    with pytest.raises(IndexError):
+        tr.events[len(tr.events)]
+    with pytest.raises(TypeError):
+        tr.events[0] = (0.0, 0, "sample")
+    # a delivery that repeats its quantized hold logs the same drive array again
+    assert any(a is b for (_, a), (_, b) in zip(tr.drive_changes, tr.drive_changes[1:]))
+
+
 def test_event_budget_checked_before_the_loop(monkeypatch):
     def no_flow_maps(self, dts):
         raise AssertionError("the loop started")
