@@ -208,10 +208,10 @@ class Scenario:
 
 
 class Log(Sequence):
-    """A read-only sequence of tuples, built on access from typed columns:
-    row i is (*(c[i] for c in heads), table[codes[i]]). array.array columns
-    give Python floats and ints, so the rows are those of a list of tuples,
-    and equal to one."""
+    """The event log as a read-only sequence of tuples, built on access from
+    typed columns: row i is (*(c[i] for c in heads), table[codes[i]]).
+    array.array columns give Python floats and ints, so the rows are those
+    of a list of tuples, and equal to one."""
 
     __slots__ = ("_heads", "_codes", "_table")
 
@@ -248,7 +248,8 @@ class Trace:
     delta_sq: np.ndarray
     lyapunov: np.ndarray | None
     events: Log                        # (time, channel, kind)
-    drive_changes: Log                 # (time, drive matrix snapshot)
+    drive_changes: array               # times a hold was set: 0.0, then each
+                                       # startup hold, delivery or update
     consensus_time: float | None = None
 
 
@@ -327,11 +328,10 @@ class _Engine:
         self.held = [None] * self.channels    # the bytes of each live hold
         self.drive = np.zeros((self.units, N))
         self.t = 0.0
-        # the event log in columns (time, channel, kind code), and the drive
-        # log in columns (time, index into drives, its distinct arrays)
+        # the event log in columns (time, channel, kind code), and the times
+        # the holds were set, from the zero drive at t = 0 on
         self.ev_t, self.ev_ch, self.ev_kind = array("d"), array("q"), array("b")
-        self.drives = [self.drive]
-        self.drive_t, self.drive_k = array("d", [0.0]), array("q", [0])
+        self.drive_t = array("d", [0.0])
         # preallocated trace columns: rows[:n_rows] hold (t, X), and
         # rows[:n_settled] also delta_sq
         self.n_rows = self.n_settled = 0
@@ -350,10 +350,9 @@ class _Engine:
 
     # -- state ------------------------------------------------------------
     def set_hold(self, ch, value):
-        """Hold value, saturated when the scenario saturates, on channel ch
-        and return the drive. The drive is recomputed unless the channel
-        already holds these bytes (-0.0 is not +0.0), in which case the
-        drive is unchanged and its array is logged again."""
+        """Hold value, saturated when the scenario saturates, on channel ch,
+        log the time and return the drive. The drive is recomputed unless
+        the channel already holds these bytes (-0.0 is not +0.0)."""
         if self.s.saturation is not None:
             _, value = saturation_scale(value, self.s.saturation)
         key = value.tobytes()
@@ -361,9 +360,7 @@ class _Engine:
             self.held[ch] = key
             self.H[ch] = value
             self.drive = self.coupling.drive(self.H, self.held)
-            self.drives.append(self.drive)
         self.drive_t.append(self.t)
-        self.drive_k.append(len(self.drives) - 1)
         return self.drive
 
     def log(self, t, ch, kind):
@@ -454,8 +451,7 @@ class _Engine:
         self.n_rows = self.n_settled = r + 1
         k = bisect_right(self.ev_t, tc)
         del self.ev_t[k:], self.ev_ch[k:], self.ev_kind[k:]
-        k = bisect_right(self.drive_t, tc)      # >= 1: the drive at t = 0 stays
-        del self.drive_t[k:], self.drive_k[k:], self.drives[self.drive_k[-1] + 1:]
+        del self.drive_t[bisect_right(self.drive_t, tc):]
 
     def _lyapunov_column(self, X):
         """V = 1/2 sum over edges of z^T P z, z the relative states."""
@@ -473,7 +469,7 @@ class _Engine:
         return Trace(scenario=self.s, t=t, states=X.reshape(n, -1), delta_sq=dsq,
                      lyapunov=self._lyapunov_column(X) if relative else None,
                      events=Log((self.ev_t, self.ev_ch), self.ev_kind, KINDS),
-                     drive_changes=Log((self.drive_t,), self.drive_k, self.drives),
+                     drive_changes=self.drive_t,
                      consensus_time=self.consensus_time)
 
 
@@ -603,7 +599,7 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
                     if not q or q[0][0] != order >> 1:
                         continue        # its sample did not fire: no row
                     _, value = q.popleft()
-                    eng.t = te          # the time set_hold logs the drive at
+                    eng.t = te          # the time set_hold logs the hold at
                     drive = set_hold(ch, value)
                     log_t(te)
                     log_ch(ch)

@@ -1049,7 +1049,7 @@ def test_event_rows_are_python_scalars(tmp_path):
             assert type(t) is float and type(ch) is int, name
             kinds.add(kind)
         assert kinds and kinds <= {"sample", "deliver", "update"}, (name, kinds)
-        assert all(type(t) is float for t, _ in trace.drive_changes), name
+        assert all(type(t) is float for t in trace.drive_changes), name
         path = tmp_path / f"{name}.json"
         write_event_log(trace, path)
         assert path.read_text() == json.dumps(

@@ -19,7 +19,8 @@ from scipy.integrate import solve_ivp
 from asynclab import matan, sim
 from asynclab.graphs import build_algebra, cycle_graph, path_graph
 from asynclab.matan import LtiModel
-from asynclab.sampling import (ChannelSchedule, ErrorModel, channel_rng,
+from asynclab.sampling import (ChannelSchedule, ErrorModel, apply_additive_error,
+                               apply_multiplicative_error, channel_rng,
                                generate_schedule)
 from asynclab.scenarios import builtin_example, parse_scenario
 from asynclab.sim import (DivergenceError, Scenario, ScenarioError,
@@ -31,17 +32,93 @@ OSCILLATOR = LtiModel(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]])
 INTEGRATOR = LtiModel(A=[[0.0]], B=[[1.0]])
 
 
+def _drive_reference(tr):
+    """Every drive of the run, rebuilt from the trace alone at each hold it
+    sets: the zero drive at t = 0, a hold of each channel's value at t = 0
+    in a first_sample start, then one per delivery, or per update of a
+    monitored run. A delivery holds its channel's value at the sampling
+    instant, measured and then saturated as the scenario says; the
+    measurement replays the channel's error stream in sample order, as the
+    engine draws it. A triggered broadcast queues only the samples that
+    fired (its updates), and a monitored update holds the state it reads
+    at once. The drive couples all holds; a broadcast couples only the
+    edges whose two agents have a hold. Returns the drives and the final
+    holds."""
+    s = tr.scenario
+    em = s.error_model
+    X = tr.states.reshape(len(tr.t), s.n_units, s.model.N)
+    row = {t: k for k, t in enumerate(tr.t.tolist())}
+    inc = build_algebra(s.graph).incidence if s.graph is not None else None
+    KT = s.gain.T if s.mode == "abstract_coupled" else (s.model.B @ s.gain).T
+    rngs = [channel_rng(s.seed, ch, stream=1) for ch in range(s.n_channels)]
+
+    def measured(ch, Xk):
+        if s.mode == "relative_edges":
+            tail, head = s.graph.edges[ch]
+            v = Xk[head - 1] - Xk[tail - 1]
+        else:
+            v = Xk[ch].copy()
+        if em.kind == "log_quantizer":      # the masked quantizer law
+            nz = v != 0.0
+            logs = np.log(np.abs(v[nz])) / np.log(em.quant_level)
+            snapped = np.round(logs)
+            exps = np.where(np.abs(logs - snapped) < 1e-9, snapped, np.floor(logs))
+            v[nz] = np.sign(v[nz]) * np.array([em.quant_level ** int(e) for e in exps])
+        elif em.kind == "multiplicative":
+            v = apply_multiplicative_error(v, em.omega, rngs[ch],
+                                           adversarial=em.adversarial)[0]
+        elif em.kind == "additive":
+            v = apply_additive_error(v, em.delta_e, rngs[ch], adversarial=em.adversarial)[0]
+        return v
+
+    H = np.zeros((s.n_channels, s.model.N))
+    live = set()
+
+    def hold(ch, v):
+        if s.saturation is not None:
+            peak = np.abs(v).max()
+            v = v if peak == 0 else (1.0 / math.ceil(peak / s.saturation)) * v
+        H[ch] = v
+        live.add(ch)
+        if s.mode == "relative_edges":
+            couple = inc
+        elif s.mode == "broadcast":
+            couple = np.zeros((s.n_units, s.n_units))
+            for i, j in s.graph.edges:
+                if {i - 1, j - 1} <= live:
+                    couple[[i - 1, j - 1], [i - 1, j - 1]] += 1.0
+                    couple[[i - 1, j - 1], [j - 1, i - 1]] -= 1.0
+        else:
+            couple = s.coupling
+        drives.append(-(couple @ (H @ KT)))
+
+    drives = [np.zeros((s.n_units, s.model.N))]
+    if s.startup == "first_sample":
+        for ch in range(s.n_channels):
+            hold(ch, measured(ch, X[0]))
+    queued = "update" if em.kind == "event_trigger" else "sample"
+    pending = [deque() for _ in range(s.n_channels)]
+    for t, ch, kind in tr.events:
+        if kind == queued:
+            pending[ch].append(measured(ch, X[row[t]]))
+        if kind == "deliver" or s.monitored:
+            hold(ch, pending[ch].popleft())
+    return drives, H
+
+
 def ivp_oracle_final_state(trace, rtol=1e-12, atol=1e-13):
     """Independent reconstruction of the final state: piecewise integration
-    of dX/dt = X A^T + V with the drive segments recorded in the trace."""
+    of dX/dt = X A^T + V, each drive V rebuilt from the trace alone
+    (_drive_reference) and held from the time the run set its hold
+    (trace.drive_changes)."""
     s = trace.scenario
     A = s.model.A
     units = s.n_units
     X = s.x0.reshape(units, s.model.N).astype(float)
+    drives, _ = _drive_reference(trace)
+    assert len(drives) == len(trace.drive_changes)
     # last drive wins at duplicated change times
-    segs = {}
-    for t, V in trace.drive_changes:
-        segs[t] = V
+    segs = dict(zip(trace.drive_changes, drives))
     times = sorted(segs)
     t_end = float(trace.t[-1])
     knots = [t for t in times if t < t_end] + [t_end]
@@ -174,8 +251,8 @@ def test_determinism_bit_identical():
 
 
 def _example_digests(horizon):
-    """SHA-256 of every trace column, drive and event of examples 1-3
-    (seed 5) over the horizon, keyed by example number."""
+    """SHA-256 of every trace column, event and drive-change time of
+    examples 1-3 (seed 5) over the horizon, keyed by example number."""
     out = {}
     for number in (1, 2, 3):
         doc, _ = builtin_example(number, seed=5)
@@ -185,8 +262,7 @@ def _example_digests(horizon):
         for column in (tr.t, tr.states, tr.delta_sq, tr.lyapunov):
             if column is not None:
                 h.update(column.tobytes())
-        for _, drive in tr.drive_changes:
-            h.update(drive.tobytes())
+        h.update(tr.drive_changes.tobytes())
         out[str(number)] = h.hexdigest()
     return out
 
@@ -271,7 +347,7 @@ def test_zoh_changes_only_at_deliveries():
     # every drive change after the one at t = 0 is made by a delivery
     deliveries = [t for t, _, kind in tr.events if kind == "deliver"]
     assert deliveries
-    assert [t for t, _ in tr.drive_changes[1:]] == deliveries
+    assert list(tr.drive_changes[1:]) == deliveries
 
 
 def test_zoh_equals_errored_sample_without_errors():
@@ -625,10 +701,10 @@ def test_stop_at_consensus_ends_at_the_consensus_row():
 
 
 def test_logs_retain_little_per_event():
-    # An event is three typed column entries, and a drive change a time and
-    # an index into the distinct drive arrays. Beyond the trace's rows,
-    # example 1 (10 s, seed 5) retains 69 bytes per event; a tuple per
-    # event and per drive change retained 149.
+    # An event is three typed column entries, and a drive change one time.
+    # Beyond the trace's rows, example 1 (10 s, seed 5) retains 22.1 bytes
+    # per event; keeping the distinct drive arrays as well retained 69.0,
+    # and a tuple per event and per drive change 149.
     doc, _ = builtin_example(1, seed=5)
     doc["horizon"] = 10.0
     s = parse_scenario(doc)
@@ -641,25 +717,22 @@ def test_logs_retain_little_per_event():
     finally:
         tracemalloc.stop()
     rows = sum(c.nbytes for c in (tr.t, tr.states, tr.delta_sq, tr.lyapunov))
-    assert (retained - rows) / len(tr.events) < 100
+    assert (retained - rows) / len(tr.events) < 40
 
 
 def test_logs_read_as_lists_of_tuples():
     tr = run(_equivalence_scenario("ex1"))
-    for log in (tr.events, tr.drive_changes):
-        rows = list(log)
-        assert len(log) == len(rows) > 10
-        assert log[0] == rows[0] and log[-1] == rows[-1] and log[3] == rows[3]
-        assert list(log[2:9]) == rows[2:9] and len(log[5:]) == len(rows) - 5
-        assert repr(log[:4]) == repr(rows[:4])
+    log, rows = tr.events, list(tr.events)
+    assert len(log) == len(rows) > 10
+    assert log[0] == rows[0] and log[-1] == rows[-1] and log[3] == rows[3]
+    assert list(log[2:9]) == rows[2:9] and len(log[5:]) == len(rows) - 5
+    assert repr(log[:4]) == repr(rows[:4])
     assert tr.events == list(tr.events) and [] == tr.events[:0]
     assert tr.events != tr.events[1:] and tr.events != list(tr.events)[::-1]
     with pytest.raises(IndexError):
         tr.events[len(tr.events)]
     with pytest.raises(TypeError):
         tr.events[0] = (0.0, 0, "sample")
-    # a delivery that repeats its quantized hold logs the same drive array again
-    assert any(a is b for (_, a), (_, b) in zip(tr.drive_changes, tr.drive_changes[1:]))
 
 
 def test_event_budget_checked_before_the_loop(monkeypatch):
@@ -719,98 +792,65 @@ def test_event_budget_admits_a_run_that_fits_exactly(monkeypatch):
         run(s)
 
 
-def _drive_reference(tr):
-    """Every drive of the run, recomputed from the trace alone at each hold
-    it sets: a delivery holds its channel's value at the sampling instant,
-    measured and saturated as the scenario says, and the drive couples all
-    holds. A broadcast couples only the edges whose two agents have had a
-    delivery. Returns the drives and the final holds."""
-    s = tr.scenario
-    X = tr.states.reshape(len(tr.t), s.n_units, s.model.N)
-    row = {t: k for k, t in enumerate(tr.t.tolist())}
-    level = s.error_model.quant_level
-    inc = build_algebra(s.graph).incidence if s.graph is not None else None
-    KT = s.gain.T if s.mode == "abstract_coupled" else (s.model.B @ s.gain).T
-
-    def held(ch, Xk):
-        if s.mode == "relative_edges":
-            tail, head = s.graph.edges[ch]
-            v = Xk[head - 1] - Xk[tail - 1]
-        else:
-            v = Xk[ch].copy()
-        if s.error_model.kind == "log_quantizer":      # the masked quantizer law
-            nz = v != 0.0
-            logs = np.log(np.abs(v[nz])) / np.log(level)
-            snapped = np.round(logs)
-            exps = np.where(np.abs(logs - snapped) < 1e-9, snapped, np.floor(logs))
-            v[nz] = np.sign(v[nz]) * np.array([level ** int(e) for e in exps])
-        if s.saturation is not None:
-            peak = np.abs(v).max()
-            v = v.copy() if peak == 0 else (1.0 / math.ceil(peak / s.saturation)) * v
-        return v
-
-    H = np.zeros((s.n_channels, s.model.N))
-    live = set()
-
-    def drive():
-        if s.mode == "relative_edges":
-            couple = inc
-        elif s.mode == "broadcast":
-            couple = np.zeros((s.n_units, s.n_units))
-            for i, j in s.graph.edges:
-                if {i - 1, j - 1} <= live:
-                    couple[[i - 1, j - 1], [i - 1, j - 1]] += 1.0
-                    couple[[i - 1, j - 1], [j - 1, i - 1]] -= 1.0
-        else:
-            couple = s.coupling
-        return -(couple @ (H @ KT))
-
-    drives = [H.copy()]
-    if s.startup == "first_sample":
-        for ch in range(s.n_channels):
-            H[ch] = held(ch, X[0])
-            live.add(ch)
-            drives.append(drive())
-    pending = [deque() for _ in range(s.n_channels)]
-    for t, ch, kind in tr.events:
-        if kind == "sample":
-            pending[ch].append(t)
-        else:
-            H[ch] = held(ch, X[row[pending[ch].popleft()]])
-            live.add(ch)
-            drives.append(drive())
-    return drives, H
-
-
-def test_saturated_holds_match_per_delivery_reference():
+def test_saturated_holds_match_per_delivery_reference(monkeypatch):
     # Each delivery holds the sampled state, measured and scaled into the
-    # saturation level, and its drive is the one recomputed from the held
-    # values, bit for bit. A delivery that repeats its channel's hold keeps
-    # the drive's array (example 1 repeats most of its quantized holds),
-    # but not the first delivery of an agent that sends exactly 0.0: that
-    # one adds the agent's edges to the broadcast's coupling.
+    # saturation level, and the run matches the ODE oracle on the drives
+    # rebuilt from those holds. A delivery that repeats its channel's hold
+    # does not recompute the drive (example 1 repeats most of its quantized
+    # holds), but the first delivery of an agent that sends exactly 0.0
+    # does: it adds the agent's edges to the broadcast's coupling, which
+    # the oracle sees.
+    drive, calls = sim.Coupling.drive, []
+
+    def counted(self, H, held):
+        calls.append(None)
+        return drive(self, H, held)
+    monkeypatch.setattr(sim.Coupling, "drive", counted)
     zero_start = Scenario(mode="broadcast", model=INTEGRATOR, gain=np.array([[1.0]]),
                           graph=cycle_graph(5), x0=[1.0, 0.0, 0.5, -1.0, 0.8],
                           horizon=3.0, seed=1, schedule=ScheduleParams(0.02, 0.05, 0.019))
     cases = {"saturated": replace(_equivalence_scenario("saturated"), horizon=10.0),
              "ex1": _equivalence_scenario("ex1"), "zero_start": zero_start}
+    # (drive computations, holds set after t = 0)
+    counts = {"saturated": (401, 401), "ex1": (677, 1764), "zero_start": (428, 428)}
     for name, s in cases.items():
+        calls.clear()
         tr = run(s)
-        drives, H = _drive_reference(tr)
-        assert len(drives) == len(tr.drive_changes), name
-        for want, (_, got) in zip(drives, tr.drive_changes):
-            assert got.tobytes() == want.tobytes(), name
-        kept = sum(a is b for (_, a), (_, b) in zip(tr.drive_changes, tr.drive_changes[1:]))
+        assert (len(calls), len(tr.drive_changes) - 1) == counts[name], name
+        expected = ivp_oracle_final_state(tr)
+        assert np.linalg.norm(tr.states[-1] - expected) < 1e-8, name
         if name == "saturated":
-            assert np.abs(H).max() <= s.saturation
-        elif name == "ex1":
-            assert kept > len(drives) // 2
-    # agent 2 first sends exactly 0.0, and that delivery changes the drive
+            assert np.abs(_drive_reference(tr)[1]).max() <= s.saturation
+    # agent 2 first sends exactly 0.0
     sent = next(t for t, ch, kind in tr.events if kind == "sample" and ch == 1)
     assert tr.states[list(tr.t).index(sent), 1] == 0.0
-    k = [ch for _, ch, kind in tr.events if kind == "deliver"].index(1)
-    before, after = tr.drive_changes[k][1], tr.drive_changes[k + 1][1]
-    assert not np.array_equal(after, before)
+
+
+def test_ivp_oracle_sees_the_coupling(monkeypatch):
+    # The oracle rebuilds every drive from the scenario's own gain and
+    # coupling, so an engine that drives through the transposed gain
+    # misses it by far more than its 1e-8.
+    of = sim.Coupling.of.__func__
+
+    def transposed(cls, s):
+        coupling = of(cls, s)
+        return replace(coupling, KT=coupling.KT.T)
+    monkeypatch.setattr(sim.Coupling, "of", classmethod(transposed))
+    rng = np.random.default_rng(777)
+    for k in range(9):
+        n, N = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+        A = rng.uniform(-1.0, 1.0, size=(N, N))
+        K = rng.uniform(-0.5, 0.5, size=(N, N))
+        K[0, 1], K[1, 0] = 0.5, -0.5        # K - K^T is at least 1 in norm
+        s = Scenario(mode="abstract_coupled", model=LtiModel(A=A, B=np.eye(N)), gain=K,
+                     x0=rng.uniform(-1.0, 1.0, size=n * N),
+                     horizon=float(rng.uniform(0.5, 10.0)), seed=k,
+                     coupling=rng.uniform(-0.5, 0.5, size=(n, n)),
+                     schedule=ScheduleParams(0.05, 0.15, 0.04),
+                     error_model=ErrorModel.multiplicative(float(rng.uniform(0.0, 0.2))),
+                     snapshot_points=10)
+        tr = run(s)
+        assert np.linalg.norm(tr.states[-1] - ivp_oracle_final_state(tr)) > 1e-3, k
 
 
 # -- the engine against exact lifted maps --------------------------------------
@@ -1072,7 +1112,7 @@ def test_consensus_watch_across_chunks(monkeypatch):
             assert np.array_equal(cut.delta_sq, tr.delta_sq[:first + 1])
             n = sum(t <= cut.t[-1] for t, _, _ in tr.events)
             assert cut.events == tr.events[:n]
-            assert all(t <= cut.t[-1] for t, _ in cut.drive_changes)
+            assert all(t <= cut.t[-1] for t in cut.drive_changes)
         assert checked >= 2
 
 
