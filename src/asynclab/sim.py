@@ -10,6 +10,10 @@ controller using that channel simultaneously.
 Scheduled runs draw every sample instant and delay before the run, so
 their event timeline is sorted once and its flow maps are evaluated in
 vectorized chunks; only continuously monitored triggering queues events.
+A triggered broadcast changes its drive only where a fired sample arrives,
+so its timeline is walked in windows between those deliveries, each state
+one flow from the last of them: it costs in proportion to its broadcasts,
+not to its samples.
 """
 
 from __future__ import annotations
@@ -45,6 +49,14 @@ TRIGGER_REFINE_TOL = 1e-9
 # Timeline entries per batched flow-map evaluation: amortizes the numpy call
 # overhead while keeping the batch's memory small and flat in the run length.
 FLOW_CHUNK = 4096
+# A triggered broadcast's window spans at most TRIGGER_BLOCK + 1 timeline
+# entries. Its trigger screen keeps every sample within a relative
+# SCREEN_MARGIN of the threshold, and SCREEN_FLOOR absolute on the squares
+# (for subnormal ones): both far above the rounding by which the screen's
+# deviations can differ from event_trigger_check's.
+TRIGGER_BLOCK = 256
+SCREEN_MARGIN = 1e-9
+SCREEN_FLOOR = 1e-300
 
 MODES = ("abstract_coupled", "relative_edges", "broadcast")    # coupling structures
 # Event kinds, each logged as its index in KINDS.
@@ -391,12 +403,27 @@ class _Engine:
         if r and self.row_t[r - 1] == self.t:
             return
         if r == len(self.row_t):
-            self.row_t, self.row_x, self.row_dsq = (
-                np.concatenate([c, np.empty_like(c)])
-                for c in (self.row_t, self.row_x, self.row_dsq))
+            self.grow(2 * r)
         self.row_t[r] = self.t
         self.row_x[r] = self.X
         self.n_rows += 1
+
+    def add_rows(self, t, X):
+        """Record the rows (t, X) after the last one. Full columns grow by
+        a sixteenth at least, so that a run whose rows were counted closely
+        keeps few spare ones."""
+        r, m = self.n_rows, len(t)
+        if r + m > len(self.row_t):
+            self.grow(max(r + m, len(self.row_t) * 17 // 16))
+        self.row_t[r:r + m] = t
+        self.row_x[r:r + m] = X
+        self.n_rows = r + m
+
+    def grow(self, size):
+        """Make room for size rows, keeping the rows recorded so far."""
+        self.row_t, self.row_x, self.row_dsq = (
+            np.concatenate([c, np.empty((size - len(c),) + c.shape[1:])])
+            for c in (self.row_t, self.row_x, self.row_dsq))
 
     def settle(self, final=False) -> bool:
         """Derive delta_sq for the rows recorded since the last pass,
@@ -525,24 +552,31 @@ def _timeline(s: Scenario, scheds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # reports it, so numpy stays quiet for the whole run.
 @np.errstate(over="ignore", invalid="ignore")
 def run(s: Scenario) -> Trace:
-    """Simulate one scenario. Scheduled runs, event-triggered broadcasts
-    included, make one pass over the precomputed timeline (_scheduled);
-    continuously monitored triggering queues its events (_monitored)."""
+    """Simulate one scenario. Scheduled runs make one pass over the
+    precomputed timeline: triggered broadcasts in windows between drive
+    changes (_triggered), every other scheduled run entry by entry
+    (_scheduled); continuously monitored triggering queues its events
+    (_monitored)."""
     rows = s.snapshot_points + 1
-    if not s.monitored and s.horizon > 0:
+    scheduled = not s.monitored and s.horizon > 0
+    triggered = scheduled and s.error_model.kind == "event_trigger"
+    if scheduled:
         times, chans, orders = _timeline(s, _build_schedules(s))
-        # The state steps through every timeline instant, skipped
-        # deliveries included; dts[i] is the step into entry i, zero at
-        # a repeated time.
-        dts = np.diff(times, prepend=0.0)
-        rows = int(np.count_nonzero(dts)) + 1
+        # a row per distinct instant; a triggered broadcast's delivery adds
+        # one only when its sample fired, so it counts its sample and grid
+        # instants and leaves room for a sixteenth more
+        shown = times[orders & 1 == 0] if triggered else times
+        rows = int(np.count_nonzero(np.diff(shown, prepend=0.0))) + 1
+        if triggered:
+            rows += rows // 16
+        del shown
     eng = _Engine(s, rows)
     try:
         if s.monitored and s.horizon > 0:
             _monitored(eng)
-        elif s.horizon > 0:
-            _scheduled(eng, times, dts, chans, orders)
-            del times, dts, chans, orders     # before finish adds its columns
+        elif scheduled:
+            (_triggered if triggered else _scheduled)(eng, times, chans, orders)
+            del times, chans, orders     # before finish adds its columns
     except (OverflowError, ValueError):
         # a failure inside the loop: raise DivergenceError if a row is not finite
         eng.snapshot()
@@ -551,30 +585,18 @@ def run(s: Scenario) -> Trace:
     return eng.finish()
 
 
-def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
-    """One pass over the timeline. In triggered broadcasts each agent
-    samples on its own admissible schedule and broadcasts, with delay, only
-    when the (optionally capped) trigger condition holds at the sampling
-    instant; a delivery whose sample did not fire is skipped.
+def _scheduled(eng: _Engine, times, chans, orders) -> None:
+    """One pass over the timeline of a run whose every sample is delivered,
+    stepping the state from entry to entry: X(t + dt) = X e^{A dt}^T +
+    drive Phi(dt)^T, with the flow maps of FLOW_CHUNK entries evaluated at
+    once.
 
     The state, drive, clock and row cursor live in locals; they are written
     back to the engine before each settle and when the loop fails. The
     state changes only at a step, so each row is written once, by the
-    first event at its time that is not a skipped delivery."""
-    em = eng.s.error_model
-    triggered = em.kind == "event_trigger"
-    queue = [deque() for _ in range(eng.channels)]   # (k, measured)
-    last_sent = [None] * eng.channels
-
-    def fire(ch, value):
-        """Whether a triggered broadcast is sent on: once the value has
-        moved far enough from the last one sent."""
-        if last_sent[ch] is not None and not event_trigger_check(
-                value, last_sent[ch], em.omega, cap=em.cap):
-            return False
-        last_sent[ch] = value
-        return True
-
+    first event at its time."""
+    dts = np.diff(times, prepend=0.0)      # the step into each entry; 0 at a repeated time
+    queue = [deque() for _ in range(eng.channels)]   # measured, in sample order
     read, measure, set_hold = eng.coupling.read, eng.measure, eng.set_hold
     log_t, log_ch, log_kind = eng.ev_t.append, eng.ev_ch.append, eng.ev_kind.append
     row_t, row_x = eng.row_t, eng.row_x      # sized for every row of the run
@@ -595,23 +617,13 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
                     X = X.dot(E) + drive.dot(P)
                     t = te
                 if ch >= 0 and order & 1:
-                    q = queue[ch]
-                    if not q or q[0][0] != order >> 1:
-                        continue        # its sample did not fire: no row
-                    _, value = q.popleft()
                     eng.t = te          # the time set_hold logs the hold at
-                    drive = set_hold(ch, value)
+                    drive = set_hold(ch, queue[ch].popleft())
                     log_t(te)
                     log_ch(ch)
                     log_kind(DELIVER)
                 elif ch >= 0:
-                    value = read(X, ch)
-                    if not triggered or fire(ch, value):
-                        queue[ch].append((order >> 1, measure(ch, value)))
-                        if triggered:
-                            log_t(te)
-                            log_ch(ch)
-                            log_kind(UPDATE)
+                    queue[ch].append(measure(ch, read(X, ch)))
                     log_t(te)
                     log_ch(ch)
                     log_kind(SAMPLE)
@@ -625,6 +637,144 @@ def _scheduled(eng: _Engine, times, dts, chans, orders) -> None:
     except (OverflowError, ValueError):
         eng.X, eng.t, eng.n_rows = X, t, r + 1     # for run's divergence check
         raise
+
+
+def _triggered(eng: _Engine, times, chans, orders) -> None:
+    """One pass over the timeline of a triggered broadcast. Each agent
+    samples on its own admissible schedule and broadcasts, with delay, only
+    when the (optionally capped) trigger condition holds at the sampling
+    instant; a delivery whose sample did not fire does nothing.
+
+    The drive changes only at the delivery of a fired sample, an active
+    delivery, so the loop walks the timeline in windows that end at one.
+    Every entry of a window is one exact flow from the anchor (t_a, X_a),
+    the last active delivery or t = 0: X_a e^{A (t - t_a)}^T +
+    drive Phi(t - t_a)^T, one batch of flow maps and one dot per map for
+    the window; an entry at t_a takes X_a itself. The window's samples are
+    screened against their channels' last sent values in one vectorized
+    pass, and event_trigger_check decides each one the screen leaves, in
+    time order. A fire screens its channel's later samples again, and its
+    delivery ends the window. The window's rows are written at once, and
+    the event log every FLOW_CHUNK rows, before each settle. A run thus
+    costs a few numpy calls per broadcast, not per sample."""
+    em = eng.s.error_model
+    n, N = len(times), eng.s.model.N
+    shown = orders & 1 == 0                     # samples and grid instants
+    # the shown entries that open a row: each at a new instant
+    rows = np.flatnonzero(shown)
+    rows = rows[np.diff(times[rows], prepend=0.0) != 0]
+    samples = np.flatnonzero(shown & (chans >= 0))
+    sample_ch = chans[samples]
+    # deliv[k]: the timeline index of the delivery of samples[k], n past
+    # the horizon; slot first[c] + j stands for sample j of channel c
+    delivered = np.flatnonzero(~shown)
+    first = np.zeros(eng.channels + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sample_ch, minlength=eng.channels), out=first[1:])
+    slot = np.full(len(samples), n)
+    slot[first[chans[delivered]] + (orders[delivered] >> 1)] = delivered
+    deliv = slot[first[sample_ch] + (orders[samples] >> 1)]
+    del shown, delivered, first, slot
+
+    sent = np.zeros((eng.channels, N))        # the value each channel last sent
+    # A sample screened out cannot fire: its squared deviation lies below
+    # its channel's limit, the squared threshold less any rounding by which
+    # the screen and event_trigger_check can differ. -inf, and only then,
+    # until a channel first sends, which its first sample always does.
+    limit = np.full(eng.channels, -math.inf)
+    queue = [deque() for _ in range(eng.channels)]   # (delivery index, value)
+
+    def screened(values, c):
+        d = values - sent[c]
+        return ~((d * d).sum(axis=-1) < limit[c])      # NaN stays in
+
+    fired, active, logged = [], [], 0
+
+    def flush(upto):
+        """Log the events of the timeline entries before upto: a sample
+        each, an update just before each fired one, and the active
+        deliveries."""
+        nonlocal logged
+        a, b = samples.searchsorted((logged, upto))
+        at, kinds = samples[a:b], np.full(b - a, SAMPLE, dtype=np.int8)
+        for entries, kind in ((fired, UPDATE), (active, DELIVER)):
+            # an update goes just before its sample, a delivery at its entry
+            k = at.searchsorted(entries)
+            at, kinds = np.insert(at, k, entries), np.insert(kinds, k, kind)
+        eng.ev_t.frombytes(times[at].tobytes())
+        eng.ev_ch.frombytes(chans[at].astype(np.int64).tobytes())
+        eng.ev_kind.frombytes(kinds.tobytes())
+        fired.clear()
+        active.clear()
+        logged = upto
+
+    X_a, t_a, drive, t_row = eng.X, 0.0, eng.drive, 0.0
+    i = 0
+    try:
+        while i < n:
+            pending = [q[0][0] for q in queue if q]
+            stop = min(min(pending, default=n), i + TRIGGER_BLOCK, n - 1) + 1
+            tb = times[i:stop]
+            K = len(tb)
+            E, P = eng.prop.pairs(tb - t_a)
+            Xs = (X_a.dot(E.transpose(2, 0, 1).reshape(N, K * N))
+                  + drive.dot(P.transpose(2, 0, 1).reshape(N, K * N)))
+            Xs = Xs.reshape(eng.units, K, N).transpose(1, 0, 2)     # (K, units, N)
+            Xs[:tb.searchsorted(t_a, side="right")] = X_a
+            a, b = samples.searchsorted((i, stop))
+            sb, cs = samples[a:b] - i, sample_ch[a:b]
+            maybe = screened(Xs[sb, cs], cs)
+            end = K - 1         # the window's last entry, relative to i
+            cand = np.flatnonzero(maybe).tolist()
+            k = 0
+            while k < len(cand) and sb[cand[k]] <= end:
+                q = cand[k]
+                k += 1
+                j, c = int(sb[q]), int(cs[q])
+                v = Xs[j, c]
+                if limit[c] != -math.inf and not event_trigger_check(
+                        v, sent[c], em.omega, cap=em.cap):
+                    continue
+                sent[c] = v = v.copy()
+                threshold = math.sqrt(em.omega) * math.sqrt(v.dot(v))
+                if em.cap is not None:
+                    threshold = min(threshold, em.cap)
+                # a product, not **, which raises where the square overflows
+                threshold *= 1.0 - SCREEN_MARGIN
+                limit[c] = threshold * threshold - SCREEN_FLOOR
+                fired.append(i + j)
+                queue[c].append((int(deliv[a + q]), v))
+                end = min(end, int(deliv[a + q]) - i)
+                hi = int(sb.searchsorted(end, side="right"))
+                later = q + 1 + np.flatnonzero(cs[q + 1:hi] == c)
+                if len(later):
+                    maybe[later] = screened(Xs[sb[later], c], c)
+                    cand, k = (q + 1 + np.flatnonzero(maybe[q + 1:hi])).tolist(), 0
+            c = int(chans[i + end])
+            is_active = c >= 0 and bool(queue[c]) and queue[c][0][0] == i + end
+            # the window's rows: its shown entries at new instants, and the
+            # active delivery if its instant is new too
+            a, b = rows.searchsorted((i, i + end + 1))
+            kr = rows[a:b] - i
+            if len(kr) and tb[kr[0]] == t_row:    # the last active delivery's row
+                kr = kr[1:]
+            if is_active and tb[end] != (tb[kr[-1]] if len(kr) else t_row):
+                kr = np.concatenate((kr, [end]))
+            eng.add_rows(tb[kr], Xs[kr])
+            t_row = float(eng.row_t[eng.n_rows - 1])
+            if is_active:
+                active.append(i + end)
+                eng.t = t_a = float(tb[end])
+                drive = eng.set_hold(c, queue[c].popleft()[1])
+                X_a = np.ascontiguousarray(Xs[end])
+            i += end + 1
+            if eng.n_rows - eng.n_settled > FLOW_CHUNK:
+                flush(i)
+                if eng.settle():
+                    break
+        else:
+            flush(n)
+    finally:    # the clock and state of the last row, for run's divergence check
+        eng.t, eng.X = t_row, eng.row_x[eng.n_rows - 1]
 
 
 def _monitored(eng: _Engine) -> None:

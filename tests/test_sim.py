@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,12 +16,12 @@ import pytest
 import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 
-from asynclab import matan, sim
+from asynclab import matan, scenarios, sim
 from asynclab.graphs import build_algebra, cycle_graph, path_graph
 from asynclab.matan import LtiModel
 from asynclab.sampling import (ChannelSchedule, ErrorModel, apply_additive_error,
                                apply_multiplicative_error, channel_rng,
-                               generate_schedule)
+                               event_trigger_check, generate_schedule)
 from asynclab.scenarios import builtin_example, parse_scenario
 from asynclab.sim import (DivergenceError, Scenario, ScenarioError,
                           ScheduleParams, run)
@@ -250,12 +250,23 @@ def test_determinism_bit_identical():
     assert np.array_equal(a.t, b.t)
 
 
+def _triggered_oscillator_doc(seed):
+    """Example 1's oscillators and design as a capped triggered broadcast
+    with an input delay: its windows' batched flow products sum over N = 2."""
+    doc = scenarios.example1_doc(seed)
+    doc.update(mode="broadcast", input_delay=0.02,
+               error_model={"kind": "event_trigger", "omega": 0.05, "dwell": 0.005,
+                            "cap": 0.05})
+    return doc
+
+
 def _example_digests(horizon):
     """SHA-256 of every trace column, event and drive-change time of
-    examples 1-3 (seed 5) over the horizon, keyed by example number."""
+    examples 1-3 and of the triggered oscillator broadcast (seed 5) over
+    the horizon, keyed by example number ("4" for the broadcast)."""
     out = {}
-    for number in (1, 2, 3):
-        doc, _ = builtin_example(number, seed=5)
+    for number in (1, 2, 3, 4):
+        doc = builtin_example(number, seed=5)[0] if number < 4 else _triggered_oscillator_doc(5)
         doc["horizon"] = horizon
         tr = run(parse_scenario(doc))
         h = hashlib.sha256(repr(tr.events).encode())
@@ -474,6 +485,97 @@ def test_broadcast_trigger_tracks_delta_tilde():
     # the last second of the broadcast error stays inside theorem 4's bound
     assert _delta_tilde_reference(tr)[tr.t >= tr.t[-1] - 1.0].min() < 0.4535
     assert average_state_error(tr) < 1e-9
+
+
+def _replayed_broadcast(name):
+    """A triggered broadcast whose trigger decisions the trace replays:
+    example 3 at a seed ("ex3_seed<k>"); oscillators broadcasting behind
+    an input delay above h_max, so that a channel can fire again before its
+    last broadcast arrives, with the trigger capped (the > rule) or
+    uncapped (the >= rule); or two fast oscillators ("spinning") that turn
+    1.5 rad between samples and hear nothing for 20 s. Each of those fires
+    every other sample, against the value it sent last, so a stretch
+    without deliveries holds many fires of one channel."""
+    if name.startswith("ex3_seed"):
+        doc, _ = builtin_example(3, seed=int(name[len("ex3_seed"):]))
+        return parse_scenario(doc)
+    if name == "spinning":
+        h = 0.05
+        return Scenario(mode="broadcast", model=LtiModel(A=[[0.0, 1.5 / h], [-1.5 / h, 0.0]],
+                                                         B=[[0.0], [1.0]]),
+                        gain=np.array([[0.1, 0.1]]), graph=path_graph(2),
+                        x0=[1.0, 0.0, 0.0, -0.5], horizon=30.0, seed=2,
+                        schedule=ScheduleParams(h, h, 0.0), input_delay=20.0,
+                        error_model=ErrorModel.event_trigger(3.5, dwell=0.01))
+    cap = 0.05 if name == "oscillator_capped" else None
+    return Scenario(mode="broadcast", model=OSCILLATOR, gain=np.array([[0.5626, 1.0633]]),
+                    graph=cycle_graph(5), x0=[1.0, 0.0, -0.5, 1.0, 0.5, -1.0, -1.0, -0.5, 0.8, 0.6],
+                    horizon=10.0, seed=3, schedule=ScheduleParams(0.05, 0.1, 0.04),
+                    input_delay=0.13, error_model=ErrorModel.event_trigger(0.05, dwell=0.05, cap=cap))
+
+
+@pytest.mark.parametrize("name", ["ex3_seed0", "ex3_seed5", "ex3_seed17", "ex3_seed1234",
+                                  "oscillator_capped", "oscillator_uncapped", "spinning"])
+def test_trigger_decisions_replay_from_the_trace(name):
+    # Each update fires and every other sample does not, under
+    # event_trigger_check of the sampled row against the channel's state at
+    # its last update row: the loop's vectorized screen never decides.
+    s = _replayed_broadcast(name)
+    tr = run(s)
+    em = s.error_model
+    X = tr.states.reshape(len(tr.t), s.n_units, s.model.N)
+    row = {t: k for k, t in enumerate(tr.t.tolist())}
+    events = list(tr.events)
+    sent = [None] * s.n_channels
+    in_flight, deepest = [0] * s.n_channels, 0
+    fired = skipped = 0
+    for k, (t, ch, kind) in enumerate(events):
+        if kind == "sample":
+            value = X[row[t], ch]
+            fires = sent[ch] is None or event_trigger_check(value, sent[ch], em.omega, cap=em.cap)
+            assert fires == (events[k - 1] == (t, ch, "update")), (t, ch)
+            if fires:
+                sent[ch], fired = value, fired + 1
+            else:
+                skipped += 1
+        else:
+            in_flight[ch] += 1 if kind == "update" else -1
+            deepest = max(deepest, in_flight[ch])
+    assert min(fired, skipped) > 100
+    if name.startswith("ex3"):
+        assert skipped > 40 * fired
+    else:
+        assert deepest >= 2      # a channel fired again before its delivery
+    assert np.array_equal(tr.t, _row_times(s, events))
+
+
+def _row_times(s, events):
+    """The times a trace has rows at: every grid instant and event time, once."""
+    return np.union1d(np.linspace(0.0, s.horizon, s.snapshot_points + 1),
+                      [t for t, _, _ in events])
+
+
+@pytest.mark.parametrize("input_delay", [0.0, 0.0625])
+def test_triggered_broadcast_rows_at_coincident_instants(input_delay):
+    # Oscillators on the 5-cycle all sample every 1/16 s without delay, on a
+    # grid of 1/16 s, so every delivery of a fired sample meets samples and a
+    # grid instant exactly: at its own sample's instant, or at the next one
+    # behind the input delay. Each instant keeps one row, and the states
+    # equal the lifted product.
+    h, horizon = 0.0625, 10.0
+    inst = np.arange(1, 160) * h
+    s = Scenario(mode="broadcast", model=OSCILLATOR, gain=np.array([[0.5626, 1.0633]]),
+                 graph=cycle_graph(5), x0=[1.0, 0.0, -0.5, 1.0, 0.5, -1.0, -1.0, -0.5, 0.8, 0.6],
+                 horizon=horizon, seed=3, snapshot_points=160, input_delay=input_delay,
+                 schedules=tuple(ChannelSchedule(c, inst, np.zeros_like(inst)) for c in range(5)),
+                 error_model=ErrorModel.event_trigger(0.05, dwell=0.05))
+    tr = run(s)
+    events = list(tr.events)
+    kinds = Counter(k for _, _, k in events)
+    assert 50 < kinds["update"] < 0.8 * kinds["sample"]
+    assert np.array_equal(tr.t, _row_times(s, events))
+    scale = np.max(np.abs(tr.states))
+    assert np.max(np.abs(_lifted_states(tr) - tr.states)) <= 1e-12 * scale
 
 
 def test_scenario_validation_errors():
@@ -720,6 +822,16 @@ def test_logs_retain_little_per_event():
     assert (retained - rows) / len(tr.events) < 40
 
 
+@pytest.mark.parametrize("name", ["ex3_seed0", "ex3_seed5", "oscillator_capped", "spinning"])
+def test_triggered_broadcast_allocates_the_rows_it_fills(name):
+    # The trace's columns are views of the engine's row columns. A triggered
+    # broadcast sizes them for its sample and grid instants and grows them
+    # for fired deliveries: example 3 (seed 5) allocates 9,563 rows and
+    # fills 9,156, where one row per timeline instant was 16,999.
+    tr = run(_replayed_broadcast(name))
+    assert len(tr.t) <= len(tr.t.base) <= 1.1 * len(tr.t)
+
+
 def test_logs_read_as_lists_of_tuples():
     tr = run(_equivalence_scenario("ex1"))
     log, rows = tr.events, list(tr.events)
@@ -861,33 +973,41 @@ def test_ivp_oracle_sees_the_coupling(monkeypatch):
 
 def _lifted_states(tr):
     """The unit states at every row of tr, from the product of exact linear
-    maps on z = (X, H, P): the states, the holds, and the measurement in
-    flight on each channel. A flow over dt maps X to
-    (I (x) e^{A dt}) X - (C (x) Phi(dt) BK) H, a sample on channel c sets
-    P_c = (R_c (x) I) X, and its delivery sets H_c = P_c; events apply in
-    the order of the event log. Relative edges read R = D^T, x_head - x_tail,
-    and drive through C = D, the incidence. Broadcasts read R = I and drive
-    through the Laplacian of the edges whose two agents hold a delivered
-    value. R, C and BK are built here, not taken from the sim.Coupling that
-    this checks; e^{A dt} and Phi(dt) are blocks of scipy's expm of one
-    matrix."""
+    maps on z = (X, H, P): the states, the holds, and the measurements in
+    flight on each channel, a ring of as many slots as the channel ever has
+    in flight. A flow over dt maps X to
+    (I (x) e^{A dt}) X - (C (x) Phi(dt) BK) H, a queued sample on channel c
+    (every sample; in a triggered broadcast, each update) sets its next
+    slot to (R_c (x) I) X, and a delivery sets H_c to its oldest; events
+    apply in the order of the event log. Relative edges read R = D^T,
+    x_head - x_tail, and drive through C = D, the incidence. Broadcasts
+    read R = I and drive through the Laplacian of the edges whose two
+    agents hold a delivered value. R, C and BK are built here, not taken
+    from the sim.Coupling that this checks; e^{A dt} and Phi(dt) are blocks
+    of scipy's expm of one matrix."""
     s = tr.scenario
     A, N, BK = s.model.A, s.model.N, s.model.B @ s.gain
     D = build_algebra(s.graph).incidence
     relative = s.mode == "relative_edges"
     R = D.T if relative else np.eye(s.graph.n)
     channels, units = R.shape
+    queued = "update" if s.error_model.kind == "event_trigger" else "sample"
+    in_flight, depth = [0] * channels, 1
+    for _, c, kind in tr.events:
+        in_flight[c] += (kind == queued) - (kind == "deliver")
+        depth = max(depth, in_flight[c])
     nx, nh = units * N, channels * N
     X = slice(0, nx)
 
     def H(c):
         return slice(nx + c * N, nx + (c + 1) * N)
 
-    def P(c):
-        return slice(nx + nh + c * N, nx + nh + (c + 1) * N)
+    def P(c, k):
+        start = nx + nh + ((k % depth) * channels + c) * N
+        return slice(start, start + N)
 
     def jump(rows, cols, block):
-        J = np.eye(nx + 2 * nh)
+        J = np.eye(nx + nh + depth * nh)
         J[rows] = 0.0
         J[rows, cols] = block
         return J
@@ -903,26 +1023,29 @@ def _lifted_states(tr):
         blk = np.zeros((2 * N, 2 * N))
         blk[:N, :N], blk[:N, N:] = A, np.eye(N)
         E = sla.expm(blk * dt)
-        F = np.eye(nx + 2 * nh)
+        F = np.eye(nx + nh + depth * nh)
         F[X, X] = np.kron(np.eye(units), E[:N, :N])
         F[X, nx:nx + nh] = -np.kron(C, E[:N, N:] @ BK)
         return F
 
-    z = np.concatenate([s.x0, np.zeros(2 * nh)])
+    z = np.concatenate([s.x0, np.zeros(nh + depth * nh)])
     if s.startup == "first_sample":
         for c in range(channels):
             z = jump(H(c), X, np.kron(R[c:c + 1], np.eye(N))) @ z
         live[:] = True
     events, t, out = deque(tr.events), 0.0, []
+    pushed, popped = [0] * channels, [0] * channels
     for tk in tr.t.tolist():
         while events and events[0][0] <= tk:
             te, c, kind = events.popleft()
             z = flow(te - t) @ z
             t = te
-            if kind == "sample":
-                z = jump(P(c), X, np.kron(R[c:c + 1], np.eye(N))) @ z
-            else:
-                z = jump(H(c), P(c), np.eye(N)) @ z
+            if kind == queued:
+                z = jump(P(c, pushed[c]), X, np.kron(R[c:c + 1], np.eye(N))) @ z
+                pushed[c] += 1
+            elif kind == "deliver":
+                z = jump(H(c), P(c, popped[c]), np.eye(N)) @ z
+                popped[c] += 1
                 live[c] = True
         z = flow(tk - t) @ z
         t = tk
@@ -934,8 +1057,10 @@ def _lifted_scenarios(mode, startup, model):
     """Zero-error runs in mode and startup on example 1's 5-cycle, with the
     agents of model (example 1's oscillator and design gain, a single
     integrator or a double integrator), keyed by the kind of their explicit
-    schedules: synchronous instants, per-channel phase offsets and
-    generated draws."""
+    schedules: synchronous instants, per-channel phase offsets, generated
+    draws, and the draws behind an input delay above the longest gap, so
+    that measurements queue on their channels. Mode "triggered" is a
+    broadcast with a capped event trigger."""
     base = _example(1, 4.0)
     if model == "integrator":
         base = replace(base, model=INTEGRATOR, gain=np.array([[1.0]]),
@@ -953,23 +1078,32 @@ def _lifted_scenarios(mode, startup, model):
                     for c, phase in enumerate(offsets)],
         "drawn": [generate_schedule(0.05, 0.15, tau, 4.0, 3, c) for c in range(5)],
     }
-    return {kind: replace(base, mode=mode, startup=startup, schedule=None,
-                          schedules=tuple(schedules), error_model=ErrorModel.none(),
+    kinds["delayed"] = kinds["drawn"]
+    em = (ErrorModel.event_trigger(0.05, dwell=0.02, cap=0.1) if mode == "triggered"
+          else ErrorModel.none())
+    return {kind: replace(base, mode="broadcast" if mode == "triggered" else mode,
+                          startup=startup, schedule=None, schedules=tuple(schedules),
+                          error_model=em, input_delay=0.17 if kind == "delayed" else 0.0,
                           snapshot_points=40)
             for kind, schedules in kinds.items()}
 
 
 @pytest.mark.parametrize("model", ["oscillator", "integrator", "double_integrator"])
-@pytest.mark.parametrize("startup", ["zero", "first_sample"])
-@pytest.mark.parametrize("mode", ["relative_edges", "broadcast"])
+@pytest.mark.parametrize("mode,startup", [
+    ("relative_edges", "zero"), ("relative_edges", "first_sample"),
+    ("broadcast", "zero"), ("broadcast", "first_sample"), ("triggered", "zero")])
 def test_engine_states_equal_the_lifted_product(mode, startup, model):
     # The engine's state at every row equals the exact product of lifted
     # maps, to 1e-12 of the trace's largest entry. The oscillator and the
     # integrator take Propagator's modal branch, the defective double
-    # integrator its block exponential.
+    # integrator its block exponential. A triggered broadcast delivers only
+    # what fired, a fraction of its samples.
     for kind, s in _lifted_scenarios(mode, startup, model).items():
         tr = run(s)
-        assert sum(k == "deliver" for _, _, k in tr.events) > 100, kind
+        delivered = sum(k == "deliver" for _, _, k in tr.events)
+        assert delivered > (20 if mode == "triggered" else 100), kind
+        if mode == "triggered":
+            assert delivered < 0.9 * sum(k == "sample" for _, _, k in tr.events), kind
         scale = np.max(np.abs(tr.states))
         assert np.max(np.abs(_lifted_states(tr) - tr.states)) <= 1e-12 * scale, kind
 
@@ -1143,4 +1277,16 @@ def test_divergence_found_when_the_loop_fails_first():
                  coupling=np.array([[1.0, -1.0], [-1.0, 1.0]]), saturation=1.0,
                  schedule=ScheduleParams(0.05, 0.1, 0.04), seed=3)
     with pytest.raises(DivergenceError, match=r"at t = \d"):
+        run(s)
+
+
+def test_triggered_broadcast_divergence_passes_huge_thresholds():
+    # With omega > 1 a finite sent value has a trigger threshold whose square
+    # overflows (from |x| ~ 7e153 on); the trigger screen takes it, and the
+    # run goes on to report the divergence at its first row that is not finite.
+    s = Scenario(mode="broadcast", model=LtiModel(A=[[5.0]], B=[[1.0]]), gain=np.array([[0.1]]),
+                 graph=cycle_graph(3), x0=[1.0, -1.0, 0.5], horizon=80.0, seed=1,
+                 schedule=ScheduleParams(0.05, 0.1, 0.02),
+                 error_model=ErrorModel.event_trigger(3.5, dwell=0.01))
+    with pytest.raises(DivergenceError, match=r"at t = 72\.43"):
         run(s)
